@@ -1,4 +1,4 @@
-//! Parallel sharded-scheduler benchmark: the 8-query fan-out workload of
+//! Parallel query-sharded drain benchmark: the 8-query fan-out workload of
 //! `benches/fanout.rs` driven through [`EngineConfig::threaded`] at 1, 2
 //! and 4 workers, against the PR 1 per-event serial ingestion baseline.
 //!
@@ -18,7 +18,7 @@
 
 use cedr_bench::summary::{summary_reps, BenchSummary};
 use cedr_core::prelude::*;
-use cedr_streams::{merge_by_sync, MessageBatch};
+use cedr_streams::MessageBatch;
 use cedr_temporal::time::dur;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Instant;
@@ -48,7 +48,9 @@ fn engine(threads: usize) -> Engine {
 }
 
 /// Build the tape as `N_PROVIDERS` per-provider streams merged by the
-/// deterministic `(sync, provider, position)` rule.
+/// deterministic `(sync, provider, position)` rule: each provider's
+/// stream is sync-ordered, so a stable sort of their concatenation by
+/// sync is exactly that merge.
 fn workload() -> MessageBatch {
     let per = N_EVENTS / N_PROVIDERS;
     let providers: Vec<MessageBatch> = (0..N_PROVIDERS)
@@ -64,7 +66,9 @@ fn workload() -> MessageBatch {
             b.build_ordered(Some(dur(64)), false).into_iter().collect()
         })
         .collect();
-    merge_by_sync(&providers)
+    let mut tape: Vec<Message> = providers.iter().flat_map(|b| b.iter().cloned()).collect();
+    tape.sort_by_key(Message::sync);
+    tape.into_iter().collect()
 }
 
 /// Staged ingestion: the tape is cut into provider-delivery rounds with

@@ -69,18 +69,21 @@
 //! standing queries share a stream. The
 //! [`Engine::enqueue_batch`]/[`Engine::run_to_quiescence`] pair lets
 //! callers stage several per-type batches (e.g. one per provider stream)
-//! and then drain every query's dataflow once, maximising the runs the
-//! schedulers can amortise.
+//! and then drain every query's dataflow once, maximising the runs each
+//! dataflow's sweep can amortise.
 //!
-//! With `threads > 1`, [`Engine::run_to_quiescence`] drains the shards on
-//! scoped worker threads — each worker owns its shard's ingress queue and
-//! queries outright, so the hot path takes **no global lock** (routing is
-//! resolved at staging time, and shard state is disjoint by construction).
-//! Every query's dataflow still sees its staged batches in exactly the
-//! enqueue order, so threaded and serial drains produce bit-identical
-//! outputs at every consistency level; queries are independent dataflows,
-//! which makes the deterministic merge argument of
-//! [`cedr_runtime::scheduler`] trivial at this layer.
+//! [`Engine::run_to_quiescence`] drains the engine **one shard at a time
+//! through a single per-shard drain**: admit the shard's staged ingress,
+//! group it per query, run each query's dataflow over its round. Only
+//! *where* that drain runs varies. When more than one shard has staged
+//! input, each shard drains on its own scoped worker thread — the worker
+//! owns its shard's ingress queue and queries outright, so the hot path
+//! takes **no global lock** (routing is resolved at staging time, and
+//! shard state is disjoint by construction); otherwise the shards drain
+//! inline on the calling thread. Every query's dataflow sees its staged
+//! batches in exactly the enqueue order either way, and queries are
+//! independent dataflows, so threaded and serial drains produce
+//! bit-identical outputs at every consistency level.
 //!
 //! # Durability
 //!
@@ -435,37 +438,38 @@ impl EngineConfig {
         }
     }
 
-    /// `threads` workers / routing shards (clamped to at least 1).
+    /// `threads` workers / routing shards (at least 1; see
+    /// [`Engine::with_config`]).
     pub fn threaded(threads: usize) -> Self {
         EngineConfig {
-            threads: threads.max(1),
+            threads,
             ..EngineConfig::serial()
         }
     }
 
-    /// Same configuration with a different per-shard ingress bound
-    /// (clamped to at least 1 message).
+    /// Same configuration with a different per-shard ingress bound (at
+    /// least 1 message).
     pub fn with_ingress_capacity(self, capacity: usize) -> Self {
         EngineConfig {
-            ingress_capacity: capacity.max(1),
+            ingress_capacity: capacity,
             ..self
         }
     }
 
     /// Same configuration with a different channel-source emission bound
-    /// (clamped to at least 1 batch).
+    /// (at least 1 batch).
     pub fn with_channel_depth(self, depth: usize) -> Self {
         EngineConfig {
-            channel_depth: depth.max(1),
+            channel_depth: depth,
             ..self
         }
     }
 
     /// Same configuration with a different resequencer skew-buffer bound
-    /// (clamped to at least 1 emission).
+    /// (at least 1 emission).
     pub fn with_resequencer_capacity(self, capacity: usize) -> Self {
         EngineConfig {
-            resequencer_capacity: capacity.max(1),
+            resequencer_capacity: capacity,
             ..self
         }
     }
@@ -606,6 +610,48 @@ impl ChannelAccounting {
     }
 }
 
+/// Drain one shard for one round: admit its staged ingress, group it per
+/// query (shard order preserves each query's enqueue order, because a
+/// query lives in exactly one shard), and run each of the shard's queries
+/// over its whole round at once. `bucket` holds the shard's queries in
+/// ascending query index. Records one `shard_drain` timing and one
+/// [`TraceEvent::ShardDrain`] wherever it runs.
+fn drain_shard(
+    sid: usize,
+    shard: &mut EngineShard,
+    bucket: Vec<(usize, &mut RunningQuery)>,
+    hub: &ObsHub,
+) {
+    let t0 = hub.now();
+    shard.staged_msgs = 0;
+    let drained = std::mem::take(&mut shard.ingress);
+    let mut messages = 0u64;
+    let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
+        (0..bucket.len()).map(|_| Vec::new()).collect();
+    for (batch, subs) in &drained {
+        shard.stats.admitted_batches += 1;
+        shard.stats.admitted_messages += batch.len() as u64;
+        messages += batch.len() as u64;
+        for &(q, port) in subs.iter() {
+            let slot = bucket
+                .binary_search_by_key(&q, |(qi, _)| *qi)
+                .expect("query routed to its own shard");
+            rounds[slot].push((port, batch));
+        }
+    }
+    for ((_, rq), round) in bucket.into_iter().zip(rounds) {
+        rq.plan.dataflow.run_round(round);
+    }
+    let nanos = hub.now().saturating_sub(t0);
+    hub.with_timings(|t| t.shard_drain.record(nanos));
+    hub.trace(|| TraceEvent::ShardDrain {
+        shard: sid.min(u16::MAX as usize) as u16,
+        batches: drained.len().min(u32::MAX as usize) as u32,
+        messages: messages.min(u32::MAX as u64) as u32,
+        nanos,
+    });
+}
+
 /// The CEDR engine.
 pub struct Engine {
     pub(crate) catalog: Catalog,
@@ -648,13 +694,26 @@ impl Engine {
         Engine::with_config(EngineConfig::from_env())
     }
 
-    /// An engine with an explicit execution configuration.
+    /// An engine with an explicit execution configuration. `threads` and
+    /// every bound (`ingress_capacity`, `channel_depth`,
+    /// `resequencer_capacity`) are clamped to at least 1 here, whether the
+    /// config came from a builder, the environment or a struct literal:
+    /// a depth-0 channel would be a rendezvous channel that rejects every
+    /// `try_flush`, and zero threads would disagree with the one shard.
     pub fn with_config(config: EngineConfig) -> Self {
-        let n = config.threads.max(1);
+        let config = EngineConfig {
+            threads: config.threads.max(1),
+            ingress_capacity: config.ingress_capacity.max(1),
+            channel_depth: config.channel_depth.max(1),
+            resequencer_capacity: config.resequencer_capacity.max(1),
+            ..config
+        };
         Engine {
             catalog: Catalog::new(),
             queries: Vec::new(),
-            shards: (0..n).map(|_| EngineShard::default()).collect(),
+            shards: (0..config.threads)
+                .map(|_| EngineShard::default())
+                .collect(),
             shard_of_query: Vec::new(),
             config,
             next_event_id: 1,
@@ -1145,8 +1204,8 @@ impl Engine {
     }
 
     /// Drain every shard's staged ingress into its queries' dataflows and
-    /// run them to quiescence — serially, or on one worker thread per
-    /// shard when configured with more than one thread. Each query always
+    /// run them to quiescence — inline, or on one worker thread per shard
+    /// when more than one shard has staged input. Each query always
     /// receives its batches in enqueue order, so the two modes are
     /// bit-identical.
     pub fn run_to_quiescence(&mut self) {
@@ -1185,100 +1244,38 @@ impl Engine {
             .sum()
     }
 
-    /// The uninstrumented drain behind [`Engine::run_to_quiescence`].
+    /// The uninstrumented drain behind [`Engine::run_to_quiescence`]:
+    /// [`drain_shard`] once per shard that has staged ingress or queries.
+    /// When at most one shard has staged input the shards drain inline on
+    /// the engine thread; otherwise each drains on its own scoped worker.
+    /// Buckets are disjoint because every query belongs to exactly one
+    /// shard, so where a shard drains never changes what it computes.
     fn drain_round(&mut self) {
         self.rounds_completed += 1;
         let busy = self.shards.iter().filter(|s| !s.ingress.is_empty()).count();
-        if self.config.threads <= 1 || busy <= 1 {
-            let mut drained: Vec<(MessageBatch, SubscriberList)> = Vec::new();
-            let mut messages = 0u64;
-            for shard in &mut self.shards {
-                shard.staged_msgs = 0;
-                for (batch, subs) in std::mem::take(&mut shard.ingress) {
-                    shard.stats.admitted_batches += 1;
-                    shard.stats.admitted_messages += batch.len() as u64;
-                    messages += batch.len() as u64;
-                    drained.push((batch, subs));
-                }
-            }
-            // Group the drained round per query (shard order preserves
-            // each query's enqueue order — a query lives in exactly one
-            // shard), then hand each dataflow its whole round at once.
-            let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
-                (0..self.queries.len()).map(|_| Vec::new()).collect();
-            for (batch, subs) in &drained {
-                for &(q, port) in subs.iter() {
-                    rounds[q].push((port, batch));
-                }
-            }
-            let t0 = self.obs.tracing().then(|| self.obs.now());
-            for (q, round) in self.queries.iter_mut().zip(rounds) {
-                q.plan.dataflow.run_round(round);
-            }
-            // One ShardDrain for the whole serial sweep, by convention on
-            // shard 0 (the histogram stays parallel-path only).
-            if let Some(t0) = t0 {
-                let nanos = self.obs.now().saturating_sub(t0);
-                self.obs.trace(|| TraceEvent::ShardDrain {
-                    shard: 0,
-                    batches: drained.len().min(u32::MAX as usize) as u32,
-                    messages: messages.min(u32::MAX as u64) as u32,
-                    nanos,
-                });
-            }
-            return;
-        }
-        // Parallel drain: hand each shard its own queries. Buckets are
-        // disjoint because every query belongs to exactly one shard, and
-        // ordered by query index, so per-shard drain order is
-        // deterministic.
-        let shard_of = &self.shard_of_query;
         let mut buckets: Vec<Vec<(usize, &mut RunningQuery)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (qi, rq) in self.queries.iter_mut().enumerate() {
-            buckets[shard_of[qi]].push((qi, rq));
+            buckets[self.shard_of_query[qi]].push((qi, rq));
         }
-        let obs = Arc::clone(&self.obs);
-        std::thread::scope(|scope| {
-            for (sid, (shard, bucket)) in self.shards.iter_mut().zip(buckets).enumerate() {
-                if shard.ingress.is_empty() && bucket.is_empty() {
-                    continue;
-                }
-                let hub = Arc::clone(&obs);
-                scope.spawn(move || {
-                    let t0 = hub.now();
-                    shard.staged_msgs = 0;
-                    let drained = std::mem::take(&mut shard.ingress);
-                    let mut messages = 0u64;
-                    let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
-                        (0..bucket.len()).map(|_| Vec::new()).collect();
-                    for (batch, subs) in &drained {
-                        shard.stats.admitted_batches += 1;
-                        shard.stats.admitted_messages += batch.len() as u64;
-                        messages += batch.len() as u64;
-                        for &(q, port) in subs.iter() {
-                            // `bucket` is sorted ascending by query index.
-                            let slot = bucket
-                                .binary_search_by_key(&q, |(qi, _)| *qi)
-                                .expect("query routed to its own shard");
-                            rounds[slot].push((port, batch));
-                        }
-                    }
-                    let batches = drained.len();
-                    for ((_, rq), round) in bucket.into_iter().zip(rounds) {
-                        rq.plan.dataflow.run_round(round);
-                    }
-                    let nanos = hub.now().saturating_sub(t0);
-                    hub.with_timings(|t| t.shard_drain.record(nanos));
-                    hub.trace(|| TraceEvent::ShardDrain {
-                        shard: sid.min(u16::MAX as usize) as u16,
-                        batches: batches.min(u32::MAX as usize) as u32,
-                        messages: messages.min(u32::MAX as u64) as u32,
-                        nanos,
-                    });
-                });
+        let hub: &ObsHub = &self.obs;
+        let work = self
+            .shards
+            .iter_mut()
+            .zip(buckets)
+            .enumerate()
+            .filter(|(_, (shard, bucket))| !shard.ingress.is_empty() || !bucket.is_empty());
+        if busy <= 1 {
+            for (sid, (shard, bucket)) in work {
+                drain_shard(sid, shard, bucket, hub);
             }
-        });
+        } else {
+            std::thread::scope(|scope| {
+                for (sid, (shard, bucket)) in work {
+                    scope.spawn(move || drain_shard(sid, shard, bucket, hub));
+                }
+            });
+        }
     }
 
     /// Declare a guarantee on *all* registered event types (a provider-wide

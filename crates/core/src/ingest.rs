@@ -37,8 +37,7 @@
 //! # Order-insensitivity, end to end
 //!
 //! Every flush is stamped with its origin `(producer key, emission seq)`
-//! — the stamp vocabulary of the sharded scheduler's deterministic merge
-//! — and the pump releases admitted batches through a
+//! and the pump releases admitted batches through a
 //! [`Resequencer`] in canonical
 //! `(round, producer key)` order, one sharded quiescence pass per round.
 //! Engine-side execution is therefore a pure function of the *logical*
@@ -920,6 +919,39 @@ mod tests {
         drop(src);
         e.run_pipelined().unwrap();
         assert_eq!(e.collector(q).stats().inserts, 3);
+    }
+
+    #[test]
+    fn zero_config_literal_is_normalized_and_still_delivers() {
+        // A struct literal skips every builder; the engine clamps anyway.
+        // Unclamped, the depth-0 channel is a rendezvous channel: the
+        // try_flush below fails with "0/0 staged" and dropping the source
+        // blocks forever.
+        let zero = EngineConfig {
+            threads: 0,
+            ingress_capacity: 0,
+            channel_depth: 0,
+            resequencer_capacity: 0,
+            ..EngineConfig::serial()
+        };
+        let (mut e, q) = tick_engine(zero);
+        let ones = EngineConfig {
+            threads: 1,
+            ingress_capacity: 1,
+            channel_depth: 1,
+            resequencer_capacity: 1,
+            ..zero
+        };
+        assert_eq!(e.config(), ones);
+        assert_eq!(e.shard_count(), e.config().threads);
+        let mut src = e.channel_source("T").unwrap().manual_flush();
+        src.insert(1, vec![Value::Int(1)]).unwrap();
+        src.try_flush().unwrap();
+        e.pump().unwrap();
+        assert_eq!(e.collector(q).stats().inserts, 1);
+        drop(src);
+        e.run_pipelined().unwrap();
+        assert_eq!(e.collector(q).stats().inserts, 1);
     }
 
     #[test]

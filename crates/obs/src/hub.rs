@@ -1,13 +1,14 @@
 //! [`ObsHub`] — the shared observability handle.
 //!
 //! One hub is created per engine and threaded (as an `Arc`) into every
-//! place that measures: the engine round loop, the node-scheduler
-//! workers, the ingest pump and the channel producer handles. It owns
-//! the clock seam, the latency histograms and the optional trace ring.
+//! place that measures: the engine round loop and its per-shard drains,
+//! the operators' dataflows, the ingest pump and the channel producer
+//! handles. It owns the clock seam, the latency histograms and the
+//! optional trace ring.
 //!
 //! Hooks are designed so the disabled configuration stays out of the hot
 //! path: tracing with the ring off is a single `Option` check, and
-//! timing records happen at round/worker granularity, never per message.
+//! timing records happen at round/shard granularity, never per message.
 
 use crate::clock::{MonotonicClock, ObsClock};
 use crate::hist::Histogram;
@@ -21,10 +22,12 @@ use std::sync::{Arc, Mutex};
 pub struct Timings {
     /// One `run_to_quiescence` drain, end to end.
     pub round_drain: Histogram,
-    /// One engine shard's staged-input drain within a parallel round.
+    /// One engine shard's drain within a round: admitting its staged
+    /// ingress and running its queries' dataflows. Recorded once per
+    /// drained shard whether the shard ran inline on the engine thread or
+    /// on a scoped worker, so the sum over a run is the total busy time
+    /// of all shard drains.
     pub shard_drain: Histogram,
-    /// One node-scheduler worker's lifetime within a dataflow drain.
-    pub worker_drain: Histogram,
     /// First staged admission of a round → that round's output deltas
     /// appended (the ingestion→subscription-visible latency).
     pub ingest_to_delta: Histogram,

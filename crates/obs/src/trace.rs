@@ -14,16 +14,15 @@ pub enum TraceEvent {
     RoundStart { round: u64, staged_batches: u32 },
     /// `run_to_quiescence` finished; `nanos` is the drain duration.
     RoundEnd { round: u64, nanos: u64 },
-    /// One engine shard's staged input was drained (parallel path: per
-    /// worker; serial path: one event for the whole sweep with shard 0).
+    /// One engine shard's staged input was drained and its queries run,
+    /// inline or on a worker thread: one event per drained shard per
+    /// round (the same span as a `shard_drain` timing).
     ShardDrain {
         shard: u16,
         batches: u32,
         messages: u32,
         nanos: u64,
     },
-    /// One node-scheduler worker finished its drain of a dataflow shard.
-    WorkerDrain { shard: u16, nanos: u64 },
     /// An operator consumed one input run of `batch_len` messages.
     OperatorRun {
         query: u16,

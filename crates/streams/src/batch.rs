@@ -310,11 +310,8 @@ impl MessageBatch {
 
     /// Cut into `n` contiguous, near-equal chunks (lengths differ by at
     /// most one; earlier chunks are larger). Chunks preserve order, so
-    /// concatenating them always reconstructs the batch; re-merging them
-    /// with [`merge_by_sync`](crate::merge::merge_by_sync) does too **for
-    /// sync-ordered batches** (a disordered tape — e.g. one produced by
-    /// `disorder::scramble` — would be re-sorted by the merge rule).
-    /// Returns fewer than `n` chunks when the batch is shorter than `n`.
+    /// concatenating them always reconstructs the batch. Returns fewer
+    /// than `n` chunks when the batch is shorter than `n`.
     pub fn chunks(&self, n: usize) -> Vec<MessageBatch> {
         let n = n.max(1).min(self.msgs.len().max(1));
         let base = self.msgs.len() / n;

@@ -32,9 +32,9 @@ pub struct Collector {
     /// Append-only changelog mirroring `stamped`: one [`OutputDelta`] per
     /// ingested message, in arrival order. Events are `Arc`-shared with
     /// the stamped tape, so the log costs no payload copies. Sink nodes
-    /// feed it through [`Collector::push`] in both the serial sweep and
-    /// the sharded scheduler, which is what makes subscription drains
-    /// bit-identical to `stamped()` at every thread count.
+    /// feed it through [`Collector::push`] alongside the stamped tape,
+    /// which is what makes subscription drains bit-identical to
+    /// `stamped()` at every thread count.
     deltas: Vec<OutputDelta>,
     stats: StreamStats,
     /// Current lifetime per chain, for retraction chaining.

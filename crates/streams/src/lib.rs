@@ -13,7 +13,6 @@ pub mod clock;
 pub mod collect;
 pub mod delta;
 pub mod disorder;
-pub mod merge;
 pub mod message;
 pub mod resequence;
 pub mod source;
@@ -23,7 +22,6 @@ pub use clock::{CedrClock, LogicalClock};
 pub use collect::{Collector, CollectorParts, StreamStats};
 pub use delta::OutputDelta;
 pub use disorder::{disorder_profile, scramble, DisorderConfig};
-pub use merge::merge_by_sync;
 pub use message::{Message, Retraction, Stamped};
 pub use resequence::{LaneParts, Resequencer, ResequencerParts, RoundStatus};
 pub use source::StreamBuilder;
@@ -35,7 +33,6 @@ pub mod prelude {
     pub use crate::collect::{Collector, StreamStats};
     pub use crate::delta::OutputDelta;
     pub use crate::disorder::{disorder_profile, scramble, DisorderConfig};
-    pub use crate::merge::merge_by_sync;
     pub use crate::message::{Message, Retraction, Stamped};
     pub use crate::source::StreamBuilder;
 }

@@ -6,8 +6,7 @@
 //! promise that speculative output with retractions makes query results
 //! independent of arrival order) is proven *end to end* by restoring a
 //! canonical order **before** execution: every emission carries an origin
-//! stamp `(producer key, emission seq)` — the same stamp vocabulary as
-//! the sharded scheduler's deterministic merge — and a [`Resequencer`]
+//! stamp `(producer key, emission seq)` and a [`Resequencer`]
 //! releases emissions in **canonical round order**:
 //!
 //! > round of an emission = the producer's *base round* (the round at

@@ -217,3 +217,89 @@ fn prometheus_exposition_is_valid_and_stable() {
     }
     assert_eq!(counts.len(), 1, "family count stable across modes");
 }
+
+/// No timing family is dead: one `threaded(2)` engine driven through
+/// every instrumented path — pumped channel rounds with a live
+/// subscription, a producer parked on a full depth-1 channel, blocking
+/// flushes into a tiny shard ingress, a checkpoint and a restore —
+/// records at least one sample in every [`Timings`] histogram. The
+/// destructuring is exhaustive on purpose: a new histogram field does not
+/// compile here until this test drives it.
+#[test]
+fn every_timing_family_records_on_a_threaded_engine() {
+    let mut engine = Engine::with_config(
+        EngineConfig::threaded(2)
+            .with_ingress_capacity(4)
+            .with_channel_depth(1),
+    );
+    engine.register_event_type("E", vec![("Grp", FieldType::Int), ("Seq", FieldType::Int)]);
+    engine.register_event_type("C", vec![("V", FieldType::Int)]);
+    let agg = PlanBuilder::source("E")
+        .window(dur(40))
+        .group_aggregate(vec![Scalar::Field(0)], AggFunc::Count)
+        .into_plan();
+    let chan = PlanBuilder::source("C").select(Pred::True).into_plan();
+    engine
+        .register_plan("agg", agg, ConsistencySpec::middle())
+        .unwrap();
+    let chan = engine
+        .register_plan("chan", chan, ConsistencySpec::middle())
+        .unwrap();
+    let mut sub = engine.subscribe(chan).unwrap();
+
+    // channel_block: the producer's first emission fills the depth-1
+    // channel and its second parks in `flush` until the pump drains.
+    let mut producer = engine.channel_source("C").unwrap().manual_flush();
+    let parked = std::thread::spawn(move || {
+        for i in 0..2u64 {
+            producer.insert(i, vec![Value::Int(i as i64)]).unwrap();
+            producer.flush();
+        }
+    });
+    while engine.ingress_stats().backpressure_events < 1 {
+        std::thread::yield_now();
+    }
+    engine.run_pipelined().unwrap();
+    parked.join().unwrap();
+    assert!(
+        !sub.poll(&mut engine).is_empty(),
+        "pumped rounds reach the subscription"
+    );
+
+    // flush_block: each chunk overflows the 4-message shard ingress, so
+    // every blocking flush after the first drains the engine first.
+    {
+        let mut src = engine.source("E").unwrap();
+        for chunk in tape() {
+            src.stage_batch(&chunk);
+            src.flush();
+        }
+    }
+    engine.run_to_quiescence();
+
+    let image = engine.checkpoint_to_vec().unwrap();
+    engine.restore_from_slice(&image).unwrap();
+
+    let cedr::obs::Timings {
+        round_drain,
+        shard_drain,
+        ingest_to_delta,
+        flush_block,
+        channel_block,
+        pump_step,
+        checkpoint_write,
+        checkpoint_restore,
+    } = engine.metrics().timings;
+    for (family, h) in [
+        ("round_drain", round_drain),
+        ("shard_drain", shard_drain),
+        ("ingest_to_delta", ingest_to_delta),
+        ("flush_block", flush_block),
+        ("channel_block", channel_block),
+        ("pump_step", pump_step),
+        ("checkpoint_write", checkpoint_write),
+        ("checkpoint_restore", checkpoint_restore),
+    ] {
+        assert!(h.count() > 0, "timing family {family} recorded nothing");
+    }
+}
