@@ -1,13 +1,14 @@
-//! Fan-out benchmark: string-keyed per-event `Engine::push` vs batched
-//! ingestion vs the sessioned `SourceHandle` paths, with 8 standing
-//! queries subscribed to one input stream.
+//! Fan-out benchmark: per-message ingestion with a type lookup per
+//! message (`engine.source(ty)?.send(m)`) vs batched ingestion vs the
+//! resolve-once `SourceHandle` paths, with 8 standing queries subscribed
+//! to one input stream.
 //!
 //! This is the workload the Arc-shared, batch-at-a-time core was built
 //! for: every message fans out to every query, so the old clone-per-query
 //! ingestion paid 8 payload deep-copies and 8 full cascades per event.
 //! The batched path pays 8 refcount bumps and one amortised drain per
 //! query per batch. The sessioned paths resolve the event type and shard
-//! routing **once** per handle instead of once per push:
+//! routing **once** per handle instead of once per message:
 //! `handle_per_event` isolates that resolve-once saving at identical
 //! (per-message) delivery semantics, while `handle_stream` adds staged
 //! batching — the mode a continuous provider would actually run.
@@ -57,21 +58,26 @@ fn workload() -> Vec<Message> {
     b.build_ordered(Some(dur(50)), true)
 }
 
-/// The historical string-keyed shim: catalog + routing lookups per push.
-#[allow(deprecated)]
+/// Per-message ingestion with catalog + routing lookups per message: a
+/// session opened per message, one immediate cascade each.
 fn run_per_event(msgs: &[Message]) -> Engine {
     let mut e = engine();
     for m in msgs {
-        e.push("TICK", m.clone()).unwrap();
+        e.source("TICK").unwrap().send(m.clone());
     }
     e
 }
 
-#[allow(deprecated)]
+/// The whole workload as one staged batch, drained once.
 fn run_batched(msgs: &[Message]) -> Engine {
     let mut e = engine();
     let batch = MessageBatch::from(msgs.to_vec());
-    e.push_batch("TICK", &batch).unwrap();
+    {
+        let mut h = e.source("TICK").unwrap().manual_flush();
+        h.stage_batch(&batch);
+        h.flush();
+    }
+    e.run_to_quiescence();
     e
 }
 

@@ -85,13 +85,13 @@ fn run_threads(threads: usize, batch: &MessageBatch) -> Engine {
     e
 }
 
-/// The PR 1 per-event baseline, kept on the deprecated string-keyed shim
-/// so the trajectory stays comparable across PRs.
-#[allow(deprecated)]
+/// The per-event baseline: a session opened per message (per-call type
+/// and routing lookup) and one immediate cascade each, so the trajectory
+/// stays comparable across versions.
 fn run_per_event(batch: &MessageBatch) -> Engine {
     let mut e = engine(1);
     for m in batch {
-        e.push("TICK", m.clone()).unwrap();
+        e.source("TICK").unwrap().send(m.clone());
     }
     e.seal();
     e

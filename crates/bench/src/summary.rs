@@ -16,11 +16,12 @@
 //! ```
 //!
 //! **`ratios` is the contract**: every column in it is a *speedup ratio*
-//! (batched vs per-message, handle vs shim, …) that CI gates against the
-//! committed baseline. Ratios compare two modes measured back to back on
-//! the same machine, so they survive the noisy absolute timings of a
-//! 1-core CI runner; wall-clock numbers and machine-dependent scaling
-//! columns belong in `info`, which is recorded but never gated.
+//! (batched vs per-message, resolve-once vs per-call lookup, …) that CI
+//! gates against the committed baseline. Ratios compare two modes
+//! measured back to back on the same machine, so they survive the noisy
+//! absolute timings of a 1-core CI runner; wall-clock numbers and
+//! machine-dependent scaling columns belong in `info`, which is recorded
+//! but never gated.
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -11,7 +11,8 @@
 //! * the **`channel` section** (when a channel ingress exists) — the
 //!   pump's [`Resequencer`](cedr_streams::Resequencer): every buffered
 //!   emission and every per-producer lane cursor, plus the producer-key
-//!   allocator and the backpressure counter;
+//!   allocator, the backpressure counters and each producer's event-ID
+//!   cursor (so a reattached producer never re-mints an ID);
 //! * one **`query:<i>:<name>` section per registered query** — the
 //!   dataflow image: every operator shell's consistency-monitor state
 //!   (watermarks, alignment buffers, reorder-guard registries, chain
@@ -202,8 +203,7 @@ impl Engine {
                 ch.reseq.close(key, emitted);
             }
             while let Ok(item) = ch.rx.try_recv() {
-                let (key, seq) = (item.key, item.seq);
-                ch.reseq.accept(key, seq, item);
+                ch.receive(item);
             }
         }
 
@@ -242,6 +242,8 @@ impl Engine {
                 .load(std::sync::atomic::Ordering::Relaxed)
                 .encode(&mut payload);
             ch.board.backpressure_by_producer().encode(&mut payload);
+            let minted: Vec<(u64, u64)> = ch.minted.iter().map(|(&k, &n)| (k, n)).collect();
+            minted.encode(&mut payload);
             let parts = ch.reseq.to_parts();
             let parts = ResequencerParts {
                 frontier: parts.frontier,
@@ -318,7 +320,8 @@ impl Engine {
     ///
     /// Channel producers reattach by calling [`Engine::channel_source`]
     /// in the original open order: restored open lanes are handed back
-    /// first (emission cursors intact), then fresh keys are minted.
+    /// first (emission and event-ID cursors intact), then fresh keys are
+    /// minted.
     pub fn restore<R: std::io::Read>(&mut self, r: &mut R) -> Result<(), EngineError> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)
@@ -432,9 +435,10 @@ impl Engine {
                     let next_key = u64::decode(&mut cr)?;
                     let backpressure = u64::decode(&mut cr)?;
                     let by_producer = Vec::<(u64, u64)>::decode(&mut cr)?;
+                    let minted = Vec::<(u64, u64)>::decode(&mut cr)?;
                     let parts = ResequencerParts::<BatchRecord>::decode(&mut cr)?;
                     cr.expect_exhausted()?;
-                    Ok((next_key, backpressure, by_producer, parts))
+                    Ok((next_key, backpressure, by_producer, minted, parts))
                 })()
                 .map_err(|e| corrupt(e.in_section("channel")))?;
                 Some(decoded)
@@ -464,15 +468,17 @@ impl Engine {
         self.channel_acct = channel_acct;
         self.channel = match channel_state {
             None => None,
-            Some((next_key, backpressure, by_producer, parts)) => {
+            Some((next_key, backpressure, by_producer, minted, parts)) => {
                 self.channel_acct.seen = true;
                 let mut ch = ChannelIngress::new(self.config.channel_depth);
                 ch.next_key = next_key;
                 ch.board.set_backpressure(backpressure, by_producer);
+                ch.minted = minted.into_iter().collect();
                 // Open lanes (ascending key order, as serialized) wait for
                 // their producers to reattach via `channel_source`; the
                 // emission cursor resumes at next_seq + buffered (buffered
-                // seqs are contiguous — per-producer emission is FIFO).
+                // seqs are contiguous — per-producer emission is FIFO),
+                // the event-ID cursor past every ID the engine received.
                 let parts = ResequencerParts {
                     frontier: parts.frontier,
                     lanes: parts
@@ -483,6 +489,7 @@ impl Engine {
                                 ch.resume_keys.push_back((
                                     lane.key,
                                     lane.next_seq + lane.buffered.len() as u64,
+                                    ch.minted.get(&lane.key).copied().unwrap_or(0),
                                 ));
                             }
                             LaneParts {
@@ -501,6 +508,9 @@ impl Engine {
                                             IngressBatch {
                                                 key: rec.key,
                                                 seq: rec.seq,
+                                                // Already folded into
+                                                // `ch.minted` on receipt.
+                                                minted: 0,
                                                 event_type: Arc::from(rec.event_type.as_str()),
                                                 subs,
                                                 batch: rec.batch,

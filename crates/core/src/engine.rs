@@ -12,19 +12,17 @@
 //! continuously and consumers observe a consistent, repairing output
 //! stream. Both directions are **sessions**:
 //!
-//! * **Ingestion** — [`Engine::source`] opens a typed
-//!   [`SourceHandle`] on one input stream. The
-//!   handle resolves the event type and its shard routing **once**,
-//!   offers typed `insert`/`retract`/`cti` builders, stages a local
-//!   [`MessageBatch`], and flushes it against a **bounded per-shard
-//!   ingress queue** ([`EngineConfig::ingress_capacity`]). The blocking
-//!   [`flush`](crate::SourceHandle::flush) drains the engine when the
-//!   ingress is full; [`try_flush`](crate::SourceHandle::try_flush)
+//! * **Ingestion** — both producer handles are one staging core,
+//!   [`Stager`]: it resolves the event type and its shard routing
+//!   **once**, offers typed `insert`/`retract`/`cti` builders and stages
+//!   a local [`MessageBatch`]. Only where a flush goes differs. [`Engine::source`] opens a borrowed [`SourceHandle`]
+//!   that flushes against a **bounded per-shard ingress queue**
+//!   ([`EngineConfig::ingress_capacity`]): the blocking
+//!   [`flush`](crate::session::Stager::flush) drains the engine when the
+//!   ingress is full; [`try_flush`](crate::session::Stager::try_flush)
 //!   surfaces [`EngineError::IngressFull`] instead — real backpressure,
-//!   never unbounded growth.
-//! * **Concurrent ingestion** — [`Engine::channel_source`] opens a
-//!   [`ChannelSource`]: the same typed staging surface as a
-//!   `SourceHandle`, but `Send + Clone` with **no engine borrow**, so
+//!   never unbounded growth. [`Engine::channel_source`] opens a
+//!   [`ChannelSource`]: `Send + Clone` with **no engine borrow**, so
 //!   provider threads feed a bounded mpsc ingress while the engine
 //!   thread interleaves channel drains with quiescence passes via
 //!   [`Engine::pump`] / [`Engine::run_pipelined`]. See the
@@ -40,22 +38,8 @@
 //!   bit-identical to the collector's stamped tape at every consistency
 //!   level and thread count — instead of re-reading whole output tables.
 //!
-//! # Migration (string-keyed shims → sessions)
-//!
-//! The historical fire-and-forget surface still works but is deprecated:
-//!
-//! | old (deprecated)                  | new                                       |
-//! |-----------------------------------|-------------------------------------------|
-//! | `engine.push_insert(ty, ev)?`     | `engine.source(ty)?.insert(at, fields)?`  |
-//! | `engine.push_retract(ty, ev, e)?` | `handle.retract(&ev, e)`                  |
-//! | `engine.push_cti(ty, t)?`         | `handle.cti(t)`                           |
-//! | `engine.push(ty, msg)?`           | `handle.send(msg)` (or `stage` + `flush`) |
-//! | `engine.push_batch(ty, &b)?`      | `handle.stage_batch(&b); handle.flush()`  |
-//! | `engine.output(q)`                | `engine.collector(q)`; incrementally: `engine.subscribe(q)?` |
-//!
 //! One handle per burst amortises resolution over every message staged
-//! through it; the shims open a throwaway session per call and are
-//! therefore never faster than the handles they wrap.
+//! through it.
 //!
 //! # Sharding and threading
 //!
@@ -154,7 +138,7 @@
 //! resequencer stalls, checkpoint/restore, seal — oldest first.
 
 use crate::ingest::{ChannelIngress, ChannelSource, IngressStats};
-use crate::session::{SourceHandle, Subscription};
+use crate::session::{EngineSink, SourceHandle, Stager, Subscription};
 use cedr_lang::catalog::{Catalog, EventTypeDef, FieldType};
 use cedr_lang::{
     compile_from_env, compile_with, fuse_from_env, lower_with, optimize, LangError, LogicalOp,
@@ -162,7 +146,7 @@ use cedr_lang::{
 };
 use cedr_obs::{CheckpointCounters, ObsHub, TraceEvent};
 use cedr_runtime::{ConsistencySpec, OpStats};
-use cedr_streams::{Collector, Message, MessageBatch, Retraction};
+use cedr_streams::{Collector, Message, MessageBatch};
 use cedr_temporal::{Event, EventId, Interval, Payload, TimePoint, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -195,8 +179,8 @@ pub enum EngineError {
     },
     /// A bounded ingress has no room for the batch being staged. Returned
     /// only by the `try_*` admission paths
-    /// ([`crate::SourceHandle::try_flush`], [`Engine::try_enqueue_batch`],
-    /// [`crate::ChannelSource::try_flush`]); the blocking paths exert
+    /// ([`crate::session::Stager::try_flush`] on either handle,
+    /// [`Engine::try_enqueue_batch`]); the blocking paths exert
     /// backpressure instead of failing. This is the signal to drain
     /// ([`Engine::run_to_quiescence`] / [`Engine::pump`]) or slow down.
     ///
@@ -847,10 +831,8 @@ impl Engine {
             Err(_) => return Err(self.unknown_type(event_type)),
         };
         validate_arity(event_type, def.fields.len(), payload.len())?;
-        let id = EventId(self.next_event_id);
-        self.next_event_id += 1;
         Ok(Event::primitive(
-            id,
+            self.mint_event_id(),
             interval,
             Payload::from_values(payload),
         ))
@@ -864,15 +846,14 @@ impl Engine {
     ///
     /// Resolution happens **once**: the handle captures the event type's
     /// payload schema and its `(query, port)` subscriber lists per routing
-    /// shard, so staging and flushing never repeat the string-keyed
-    /// lookups the deprecated [`Engine::push`] paid per message. The
-    /// handle stages a local [`MessageBatch`] via its typed
-    /// [`insert`](SourceHandle::insert) / [`retract`](SourceHandle::retract)
-    /// / [`cti`](SourceHandle::cti) builders and flushes it against the
-    /// bounded per-shard ingress ([`EngineConfig::ingress_capacity`]) —
-    /// blocking-style via [`flush`](SourceHandle::flush) (drains the
-    /// engine when full) or with real backpressure via
-    /// [`try_flush`](SourceHandle::try_flush), which surfaces
+    /// shard, so staging and flushing never repeat string-keyed lookups
+    /// per message. The handle stages a local [`MessageBatch`] via its
+    /// typed [`insert`](Stager::insert) / [`retract`](Stager::retract) /
+    /// [`cti`](Stager::cti) builders and flushes it against the bounded
+    /// per-shard ingress ([`EngineConfig::ingress_capacity`]) —
+    /// blocking-style via [`flush`](Stager::flush) (drains the engine
+    /// when full) or with real backpressure via
+    /// [`try_flush`](Stager::try_flush), which surfaces
     /// [`EngineError::IngressFull`].
     ///
     /// The handle borrows the engine exclusively, so the routing it
@@ -888,7 +869,11 @@ impl Engine {
             Err(_) => return Err(self.unknown_type(event_type)),
         };
         let subs = self.resolve_subs(event_type);
-        Ok(SourceHandle::new(self, event_type.to_string(), arity, subs))
+        Ok(Stager::new(
+            Arc::from(event_type),
+            arity,
+            EngineSink::new(self, subs),
+        ))
     }
 
     /// Open a **concurrent** typed ingestion session on the named input
@@ -905,6 +890,9 @@ impl Engine {
     /// *before* opening channel sources. Producer keys are assigned in
     /// call order — open sources in a deterministic order to make the
     /// whole ingestion schedule deterministic (see [`crate::ingest`]).
+    /// After [`Engine::restore`], the first calls reattach to the lanes
+    /// the image left open instead, in ascending key order, with their
+    /// emission and event-ID cursors intact.
     ///
     /// Errors: [`EngineError::UnknownEventType`], [`EngineError::Sealed`].
     pub fn channel_source(&mut self, event_type: &str) -> Result<ChannelSource, EngineError> {
@@ -918,33 +906,11 @@ impl Engine {
         let subs: Arc<[(usize, SubscriberList)]> = self.resolve_subs(event_type).into();
         let depth = self.config.channel_depth;
         self.channel_acct.seen = true;
-        let ch = self
+        let sink = self
             .channel
-            .get_or_insert_with(|| ChannelIngress::new(depth));
-        // A restore leaves the checkpointed open lanes waiting for their
-        // producers to come back: reattach to those (emission cursor
-        // intact, ascending key order) before minting fresh keys.
-        let (key, emitted) = match ch.resume_keys.pop_front() {
-            Some(resume) => resume,
-            None => {
-                let key = ch.next_key;
-                ch.next_key += 1;
-                ch.reseq.register(key);
-                (key, 0)
-            }
-        };
-        let (tx, board, depth) = (ch.tx.clone(), Arc::clone(&ch.board), ch.depth);
-        Ok(ChannelSource::new(
-            Arc::from(event_type),
-            arity,
-            subs,
-            tx,
-            key,
-            board,
-            depth,
-            emitted,
-            Arc::clone(&self.obs),
-        ))
+            .get_or_insert_with(|| ChannelIngress::new(depth))
+            .open_lane(subs, Arc::clone(&self.obs));
+        Ok(Stager::new(Arc::from(event_type), arity, sink))
     }
 
     /// Per-shard ingress observability: staged/admitted/backpressure
@@ -1067,7 +1033,7 @@ impl Engine {
             return Err(self.unknown_type(event_type));
         }
         let subs = self.resolve_subs(event_type);
-        self.admit_resolved(event_type, batch.clone(), &subs, block)
+        self.admit_resolved(event_type, &mut batch.clone(), &subs, block)
     }
 
     /// An [`EngineError::UnknownEventType`] naming every registered type.
@@ -1094,15 +1060,12 @@ impl Engine {
             .collect()
     }
 
-    /// Mint a fresh-ID primitive event (the handle builders' allocator).
-    pub(crate) fn mint_event(&mut self, interval: Interval, payload: Vec<Value>) -> Arc<Event> {
+    /// The engine's one event-ID allocator ([`Engine::event`] and the
+    /// [`SourceHandle`] builders).
+    pub(crate) fn mint_event_id(&mut self) -> EventId {
         let id = EventId(self.next_event_id);
         self.next_event_id += 1;
-        Arc::new(Event::primitive(
-            id,
-            interval,
-            Payload::from_values(payload),
-        ))
+        id
     }
 
     /// Does a batch of `len` messages fit every target shard's bounded
@@ -1135,17 +1098,19 @@ impl Engine {
     /// Admit a batch to the ingress queues of the given (pre-resolved)
     /// shards, enforcing [`EngineConfig::ingress_capacity`]: when a target
     /// shard lacks room ([`Engine::check_capacity`]), either drain the
-    /// whole engine first (`block`) or stage nothing and return
-    /// [`EngineError::IngressFull`].
+    /// whole engine first (`block`) or stage nothing, leave `batch` in
+    /// place and return [`EngineError::IngressFull`]. Otherwise `batch`
+    /// is taken (a batch no query subscribes to is discarded).
     pub(crate) fn admit_resolved(
         &mut self,
         event_type: &str,
-        mut batch: MessageBatch,
+        batch: &mut MessageBatch,
         subs: &[(usize, SubscriberList)],
         block: bool,
     ) -> Result<(), EngineError> {
         let len = batch.len();
         if len == 0 || subs.is_empty() {
+            batch.clear();
             return Ok(());
         }
         if let Err(full) = self.check_capacity(event_type, len, subs) {
@@ -1168,6 +1133,7 @@ impl Engine {
         if self.round_open_at.is_none() {
             self.round_open_at = Some(self.obs.now());
         }
+        let mut batch = std::mem::take(batch);
         let n = subs.len();
         for (i, (si, s)) in subs.iter().enumerate() {
             let shard = &mut self.shards[*si];
@@ -1187,8 +1153,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Immediate per-message delivery to pre-resolved subscribers: the
-    /// historical [`Engine::push`] cascade minus its per-call lookups.
+    /// Immediate per-message delivery to pre-resolved subscribers
+    /// ([`SourceHandle::send`]).
     /// Ingestion order is preserved across the APIs: staged ingress is
     /// drained first, so a direct send (a CTI, say) can never overtake
     /// data that was enqueued before it.
@@ -1301,7 +1267,7 @@ impl Engine {
         cti.push_cti(t);
         for ty in types {
             let subs = self.resolve_subs(&ty);
-            let _ = self.admit_resolved(&ty, cti.clone(), &subs, true);
+            let _ = self.admit_resolved(&ty, &mut cti.clone(), &subs, true);
         }
         self.run_to_quiescence();
     }
@@ -1311,9 +1277,9 @@ impl Engine {
     /// Sealing is **idempotent**: the guarantee is broadcast once, and
     /// repeated calls are no-ops rather than fresh `CTI(∞)` rounds. After
     /// sealing, every ingestion entry point ([`Engine::source`],
-    /// [`Engine::enqueue_batch`], [`Engine::advance_all`], the deprecated
-    /// `push_*` shims) returns [`EngineError::Sealed`]; subscriptions keep
-    /// draining normally.
+    /// [`Engine::channel_source`], [`Engine::enqueue_batch`],
+    /// [`Engine::advance_all`]) returns [`EngineError::Sealed`];
+    /// subscriptions keep draining normally.
     ///
     /// The channel ingress is **torn down**: live [`ChannelSource`]s are
     /// disconnected, so a provider blocked on a full channel unblocks
@@ -1349,90 +1315,6 @@ impl Engine {
     /// Has [`Engine::seal`] run?
     pub fn is_sealed(&self) -> bool {
         self.sealed
-    }
-
-    // ------------------------------------------------------------------
-    // Deprecated string-keyed shims (see the migration note in the
-    // module docs) — thin wrappers over handles and the collector.
-    // ------------------------------------------------------------------
-
-    /// Push a message on the named input stream; every query consuming the
-    /// type receives it via the routing table.
-    #[deprecated(
-        since = "0.3.0",
-        note = "open a session once with `engine.source(ty)?` and use \
-                `SourceHandle::send` (or stage/flush for batching)"
-    )]
-    pub fn push(&mut self, event_type: &str, msg: Message) -> Result<(), EngineError> {
-        self.source(event_type)?.send(msg);
-        Ok(())
-    }
-
-    /// Push a whole batch on the named input stream and drain.
-    #[deprecated(
-        since = "0.3.0",
-        note = "open a session once with `engine.source(ty)?`, stage with \
-                `SourceHandle::stage_batch`, then flush"
-    )]
-    pub fn push_batch(
-        &mut self,
-        event_type: &str,
-        batch: &MessageBatch,
-    ) -> Result<(), EngineError> {
-        {
-            let mut h = self.source(event_type)?.manual_flush();
-            h.stage_batch(batch);
-            h.flush();
-        }
-        self.run_to_quiescence();
-        Ok(())
-    }
-
-    /// Push an insert.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `engine.source(ty)?` with `SourceHandle::insert` (typed, \
-                resolve-once) instead"
-    )]
-    pub fn push_insert(&mut self, event_type: &str, event: Event) -> Result<(), EngineError> {
-        self.source(event_type)?.send(Message::insert_event(event));
-        Ok(())
-    }
-
-    /// Push a retraction shortening `event` to `[Vs, new_end)`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `engine.source(ty)?` with `SourceHandle::retract` instead"
-    )]
-    pub fn push_retract(
-        &mut self,
-        event_type: &str,
-        event: Event,
-        new_end: TimePoint,
-    ) -> Result<(), EngineError> {
-        self.source(event_type)?
-            .send(Message::Retract(Retraction::new(event, new_end)));
-        Ok(())
-    }
-
-    /// Declare an occurrence-time guarantee on one input stream.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `engine.source(ty)?` with `SourceHandle::cti` instead"
-    )]
-    pub fn push_cti(&mut self, event_type: &str, t: TimePoint) -> Result<(), EngineError> {
-        self.source(event_type)?.send(Message::Cti(t));
-        Ok(())
-    }
-
-    /// The output collector of a query.
-    #[deprecated(
-        since = "0.3.0",
-        note = "renamed to `collector`; for incremental consumption of the \
-                change stream use `engine.subscribe(q)?`"
-    )]
-    pub fn output(&self, q: QueryId) -> &Collector {
-        self.collector(q)
     }
 
     /// Plan-wide runtime statistics of a query (Figure-8 observables).
@@ -1592,14 +1474,6 @@ mod tests {
             Err(EngineError::Sealed)
         ));
         assert!(matches!(e.advance_all(t(99)), Err(EngineError::Sealed)));
-        #[allow(deprecated)]
-        {
-            let ev = Event::primitive(EventId(77), Interval::point(t(5)), Payload::empty());
-            assert!(matches!(
-                e.push_insert("INSTALL", ev),
-                Err(EngineError::Sealed)
-            ));
-        }
         // Consumption still works on a sealed engine.
         let mut sub = e.subscribe(q).unwrap();
         assert!(!sub.poll(&mut e).is_empty());
@@ -1672,33 +1546,10 @@ mod tests {
     }
 
     #[test]
-    fn handle_autoflush_bounds_local_staging() {
-        let mut e = Engine::new();
-        e.register_event_type("T", vec![("v", FieldType::Int)]);
-        let plan = {
-            use crate::builder::PlanBuilder;
-            use cedr_algebra::expr::Pred;
-            PlanBuilder::source("T").select(Pred::True).into_plan()
-        };
-        let q = e
-            .register_plan("q", plan, ConsistencySpec::middle())
-            .unwrap();
-        let mut h = e.source("T").unwrap().with_autoflush(4);
-        for i in 0..9u64 {
-            h.insert(i, vec![Value::Int(i as i64)]).unwrap();
-            assert!(h.staged_len() < 4, "autoflush keeps staging bounded");
-        }
-        h.sync();
-        drop(h);
-        assert_eq!(e.collector(q).stats().inserts, 9);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn push_after_enqueue_drains_staged_ingress_first() {
+    fn send_after_enqueue_drains_staged_ingress_first() {
         use crate::builder::PlanBuilder;
         use cedr_algebra::expr::Pred;
-        // A direct push (here: a CTI) must never overtake batches that
+        // A direct send (here: a CTI) must never overtake batches that
         // were staged before it — the guarantee would otherwise reach the
         // shells ahead of the data it covers.
         let build = || {
@@ -1722,12 +1573,12 @@ mod tests {
         let (mut a, qa, batch) = build();
         a.enqueue_batch("T", &batch).unwrap();
         a.run_to_quiescence();
-        a.push_cti("T", t(100)).unwrap();
-        // Same calls without the explicit drain: push must flush first.
+        a.source("T").unwrap().send(Message::Cti(t(100)));
+        // Same calls without the explicit drain: send must drain first.
         let (mut b, qb, batch) = build();
         b.enqueue_batch("T", &batch).unwrap();
-        b.push_cti("T", t(100)).unwrap();
-        assert_eq!(a.output(qa).stamped(), b.output(qb).stamped());
+        b.source("T").unwrap().send(Message::Cti(t(100)));
+        assert_eq!(a.collector(qa).stamped(), b.collector(qb).stamped());
     }
 
     #[test]

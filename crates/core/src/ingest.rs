@@ -8,31 +8,33 @@
 //! borrow** that carries its pre-resolved `(query, port)` routing (the
 //! `Arc`-shared copy-on-write subscriber slice of the routing table) and
 //! feeds a **bounded mpsc ingress**. Provider threads stage typed events
-//! exactly like a borrowed handle and flush whole batches across the
-//! thread boundary (events stay `Arc`-shared — a hand-off is refcount
-//! bumps, never payload copies), while the engine thread interleaves
-//! channel drains with sharded quiescence passes via
-//! [`Engine::pump`](crate::Engine::pump) /
+//! and flush whole batches across the thread boundary (events stay
+//! `Arc`-shared — a hand-off is refcount bumps, never payload copies),
+//! while the engine thread interleaves channel drains with sharded
+//! quiescence passes via [`Engine::pump`](crate::Engine::pump) /
 //! [`Engine::run_pipelined`](crate::Engine::run_pipelined).
 //!
 //! # Which handle do I want?
 //!
-//! | | [`SourceHandle`](crate::SourceHandle) (borrowed) | [`ChannelSource`] (channel) |
+//! Both handles are the same staging core, [`Stager`]: routing resolved
+//! once at open time, the same typed `insert`/`retract`/`cti`/
+//! `stage_batch` builders, a local batch auto-flushed at
+//! [`DEFAULT_AUTOFLUSH`](crate::DEFAULT_AUTOFLUSH), the same
+//! `flush`/`try_flush`/`into_inner`. They differ only in where event IDs
+//! come from and where a flush goes — and in what follows from that:
+//!
+//! | | [`SourceHandle`](crate::SourceHandle) ([`Engine::source`](crate::Engine::source)) | [`ChannelSource`] ([`Engine::channel_source`](crate::Engine::channel_source)) |
 //! |---|---|---|
-//! | obtained from | [`Engine::source`](crate::Engine::source) | [`Engine::channel_source`](crate::Engine::channel_source) |
-//! | engine borrow | exclusive, for the session's lifetime | **none** — `Send + Clone`, free-threaded |
+//! | engine borrow | exclusive, for the session's lifetime | **none** — `Send + Clone` |
 //! | threads | provider == drain thread | providers on any threads, engine pumps |
-//! | routing | resolved once, cannot go stale (borrow) | resolved once, snapshot at open/clone time |
-//! | staging | local batch, auto-flush at 512 | local batch, auto-flush at 512 |
 //! | flush target | bounded per-shard ingress | bounded mpsc channel ([`EngineConfig::channel_depth`](crate::EngineConfig::channel_depth)) |
-//! | backpressure | `flush` drains the engine; `try_flush` → [`EngineError::IngressFull`] | `flush` blocks on the channel; `try_flush` → [`EngineError::IngressFull`] |
-//! | per-message latency | [`send`](crate::SourceHandle::send) cascades immediately | none — batches run at the next pump round |
-//! | drains the engine | yes (flush under pressure, `sync`) | never — the pump does |
-//! | end of stream | drop the handle | drop (disconnect) or [`ChannelSource::seal`] |
+//! | backpressure | `flush` drains the engine; `try_flush` → [`EngineError::IngressFull`] | `flush` blocks on the channel (never drains); `try_flush` → [`EngineError::IngressFull`] |
+//! | `send` | [`send`](crate::session::Stager::send) cascades one message immediately | none — batches run at the next pump round |
+//! | end of stream | drop the handle | drop (disconnect) or [`seal`](crate::session::Stager::seal) |
 //!
 //! Rule of thumb: one borrowed handle per burst on the engine thread;
 //! one channel source per provider *thread*. Clones of a channel source
-//! share its origin (see [`ChannelSource::clone`]).
+//! share its origin (see [`ChannelSink`]).
 //!
 //! # Order-insensitivity, end to end
 //!
@@ -81,10 +83,11 @@
 //! ```
 
 use crate::engine::{Engine, EngineError, SubscriberList};
+use crate::session::{sealed, StageSink, Stager};
 use cedr_obs::{ObsHub, TraceEvent};
-use cedr_streams::{Message, MessageBatch, Resequencer, Retraction};
-use cedr_temporal::{Event, EventId, Interval, Payload, TimePoint, Value};
-use std::collections::BTreeMap;
+use cedr_streams::{MessageBatch, Resequencer};
+use cedr_temporal::{EventId, TimePoint};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -99,6 +102,10 @@ const CHANNEL_ID_SHIFT: u32 = 44;
 pub(crate) struct IngressBatch {
     pub(crate) key: u64,
     pub(crate) seq: u64,
+    /// The producer's event-ID cursor when this batch was emitted: every
+    /// ID in the batch is below `key << 44 | minted` (the emitting handle
+    /// minted them before reading the cursor).
+    pub(crate) minted: u64,
     pub(crate) event_type: Arc<str>,
     pub(crate) subs: Arc<[(usize, SubscriberList)]>,
     pub(crate) batch: MessageBatch,
@@ -183,13 +190,17 @@ pub(crate) struct ChannelIngress {
     pub(crate) reseq: Resequencer<IngressBatch>,
     pub(crate) next_key: u64,
     pub(crate) depth: usize,
-    /// `(producer key, emission cursor)` of lanes a checkpoint restore
-    /// left open, in ascending key order. The next
+    /// Highest event-ID cursor ([`IngressBatch::minted`]) received per
+    /// producer key. Persisted, so a reattached producer resumes minting
+    /// past every ID the engine has already seen from it.
+    pub(crate) minted: BTreeMap<u64, u64>,
+    /// `(producer key, emission cursor, event-ID cursor)` of lanes a
+    /// checkpoint restore left open, in ascending key order. The next
     /// [`Engine::channel_source`](crate::Engine::channel_source) calls
-    /// reattach to these lanes (cursor intact) instead of minting fresh
+    /// reattach to these lanes (cursors intact) instead of minting fresh
     /// keys, so a restored topology resumes where the original left off.
     /// Transient: never part of a checkpoint image.
-    pub(crate) resume_keys: std::collections::VecDeque<(u64, u64)>,
+    pub(crate) resume_keys: VecDeque<(u64, u64, u64)>,
     /// Stall gauge feeding [`PumpProgress::waiting_on`] /
     /// [`PumpProgress::rounds_stalled`]: the producer the resequencer's
     /// canonical line was last blocked on, and for how many consecutive
@@ -208,10 +219,49 @@ impl ChannelIngress {
             reseq: Resequencer::new(),
             next_key: 1,
             depth,
-            resume_keys: std::collections::VecDeque::new(),
+            minted: BTreeMap::new(),
+            resume_keys: VecDeque::new(),
             stalled_on: None,
             stalled_rounds: 0,
         }
+    }
+
+    /// Open a producer lane: reattach to the next lane a restore left
+    /// open, else register a fresh key (assigned in call order).
+    pub(crate) fn open_lane(
+        &mut self,
+        subs: Arc<[(usize, SubscriberList)]>,
+        obs: Arc<ObsHub>,
+    ) -> ChannelSink {
+        let (key, emitted, minted) = self.resume_keys.pop_front().unwrap_or_else(|| {
+            let key = self.next_key;
+            self.next_key += 1;
+            self.reseq.register(key);
+            (key, 0, 0)
+        });
+        debug_assert!(key < (1 << (64 - CHANNEL_ID_SHIFT)), "key space exhausted");
+        ChannelSink {
+            subs,
+            tx: self.tx.clone(),
+            core: Arc::new(ProducerCore {
+                key,
+                emitted: Mutex::new(emitted),
+                minted: AtomicU64::new(minted),
+                live: AtomicU64::new(1),
+                board: Arc::clone(&self.board),
+            }),
+            depth: self.depth,
+            obs,
+        }
+    }
+
+    /// Take one emission off the channel: note its producer's event-ID
+    /// cursor and hand it to the resequencer.
+    pub(crate) fn receive(&mut self, item: IngressBatch) {
+        let cursor = self.minted.entry(item.key).or_insert(0);
+        *cursor = (*cursor).max(item.minted);
+        let (key, seq) = (item.key, item.seq);
+        self.reseq.accept(key, seq, item);
     }
 }
 
@@ -281,12 +331,11 @@ impl IngressStats {
 /// The handle owns an `Arc`-shared snapshot of the event type's resolved
 /// `(query, port)` routing and a sender onto the engine's bounded mpsc
 /// ingress, so it can move to any thread and outlive every engine borrow.
-/// Messages accumulate in a local staging batch through the same typed
-/// builders as the borrowed [`SourceHandle`](crate::SourceHandle) and
-/// cross the thread boundary on [`flush`](ChannelSource::flush)
-/// (automatic every [`DEFAULT_AUTOFLUSH`](crate::DEFAULT_AUTOFLUSH)
-/// staged messages, on drop, or manual). Flushed batches run when the
-/// engine thread pumps ([`Engine::pump`](crate::Engine::pump) /
+/// Messages accumulate in a local staging batch through the same
+/// [`Stager`] builders as the borrowed
+/// [`SourceHandle`](crate::SourceHandle) and cross the thread boundary on
+/// [`flush`](Stager::flush). Flushed batches run when the engine thread
+/// pumps ([`Engine::pump`](crate::Engine::pump) /
 /// [`Engine::run_pipelined`](crate::Engine::run_pipelined)).
 ///
 /// **Routing snapshot**: queries registered *after* the handle was opened
@@ -296,21 +345,30 @@ impl IngressStats {
 /// **Shutdown**: dropping the handle flushes the staged batch and — once
 /// the last clone is gone — disconnects the producer, letting
 /// [`Engine::run_pipelined`](crate::Engine::run_pipelined) retire its
-/// lane and return. [`ChannelSource::seal`] additionally stages `CTI(∞)`
+/// lane and return. [`seal`](Stager::seal) additionally stages `CTI(∞)`
 /// first ("this stream is complete"). During a panic unwind the staged
 /// batch is abandoned rather than risked against a full channel, but the
 /// disconnect is still posted (through a side channel that never blocks),
 /// so a crashing provider cannot hang the pump.
-pub struct ChannelSource {
-    event_type: Arc<str>,
-    /// Payload arity of the event type, resolved at open time.
-    arity: usize,
+pub type ChannelSource = Stager<ChannelSink>;
+
+/// The [`StageSink`] of a [`ChannelSource`]: the routing snapshot, a
+/// sender onto the bounded channel, and the producer identity shared by
+/// every clone of the handle.
+///
+/// Clones **share the producer origin**: the same key, emission counter
+/// and event-ID allocator (seqs stay gap-free however the clones
+/// interleave, and the producer disconnects only when the last clone
+/// drops). Emissions racing through sibling clones are admitted in
+/// whatever order they win the shared counter — deterministic only if
+/// the clones are externally synchronised. For the full
+/// order-insensitivity guarantee give each provider thread its own
+/// [`channel_source`](crate::Engine::channel_source).
+pub struct ChannelSink {
     /// Resolved `(shard, subscribers)` routing snapshot.
     subs: Arc<[(usize, SubscriberList)]>,
     tx: SyncSender<IngressBatch>,
     core: Arc<ProducerCore>,
-    staged: MessageBatch,
-    autoflush: usize,
     /// Channel capacity in batches (for backpressure error reports).
     depth: usize,
     /// Engine observability hub: channel-block timing + backpressure
@@ -318,164 +376,18 @@ pub struct ChannelSource {
     obs: Arc<ObsHub>,
 }
 
-impl ChannelSource {
-    /// `emitted` is the starting emission cursor: 0 for a fresh producer,
-    /// or the restored lane cursor when reattaching after
-    /// [`Engine::restore`](crate::Engine::restore) (the next flush gets
-    /// the seq the resequencer lane expects). The event-ID allocator
-    /// always starts at 0 — a resumed producer replaying a tape should
-    /// stage pre-minted events ([`ChannelSource::insert_event`] /
-    /// [`ChannelSource::stage_batch`]) rather than re-minting.
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor; one call site
-    pub(crate) fn new(
-        event_type: Arc<str>,
-        arity: usize,
-        subs: Arc<[(usize, SubscriberList)]>,
-        tx: SyncSender<IngressBatch>,
-        key: u64,
-        board: Arc<DisconnectBoard>,
-        depth: usize,
-        emitted: u64,
-        obs: Arc<ObsHub>,
-    ) -> Self {
-        debug_assert!(key < (1 << (64 - CHANNEL_ID_SHIFT)), "key space exhausted");
-        ChannelSource {
-            event_type,
-            arity,
-            subs,
-            tx,
-            core: Arc::new(ProducerCore {
-                key,
-                emitted: Mutex::new(emitted),
-                minted: AtomicU64::new(0),
-                live: AtomicU64::new(1),
-                board,
-            }),
-            staged: MessageBatch::new(),
-            autoflush: crate::session::DEFAULT_AUTOFLUSH,
-            depth,
-            obs,
-        }
-    }
+impl sealed::Sealed for ChannelSink {}
 
-    /// The event type this source feeds.
-    pub fn event_type(&self) -> &str {
-        &self.event_type
-    }
+impl StageSink for ChannelSink {
+    const HANDLE: &'static str = "ChannelSource";
 
-    /// The origin key stamped on every emission of this producer (shared
-    /// by clones). Keys are assigned in
-    /// [`channel_source`](crate::Engine::channel_source) call order.
-    pub fn producer_key(&self) -> u64 {
-        self.core.key
-    }
-
-    /// Number of `(query, port)` subscribers in the routing snapshot.
-    pub fn subscriber_count(&self) -> usize {
+    fn subscriber_count(&self) -> usize {
         self.subs.iter().map(|(_, s)| s.len()).sum()
     }
 
-    /// Messages currently staged locally (not yet flushed).
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Auto-flush after `n` staged messages (clamped to at least 1).
-    pub fn with_autoflush(mut self, n: usize) -> Self {
-        self.autoflush = n.max(1);
-        self
-    }
-
-    /// Disable auto-flush: the batch grows until an explicit flush, seal
-    /// or drop.
-    pub fn manual_flush(mut self) -> Self {
-        self.autoflush = usize::MAX;
-        self
-    }
-
-    /// Mint and stage a point event `[vs, vs+1)` with a fresh ID,
-    /// validating the payload against the resolved schema. Returns the
-    /// shared event so the provider can retract it later.
-    ///
-    /// IDs are drawn from the producer's own slice of the ID space
-    /// (`key << 44 | n`), so concurrent providers can never collide and a
-    /// given provider mints the same IDs on every run.
-    pub fn insert(&mut self, vs: u64, fields: Vec<Value>) -> Result<Arc<Event>, EngineError> {
-        self.insert_for(Interval::point(TimePoint::new(vs)), fields)
-    }
-
-    /// Mint and stage an event with an explicit validity interval.
-    pub fn insert_for(
-        &mut self,
-        interval: Interval,
-        fields: Vec<Value>,
-    ) -> Result<Arc<Event>, EngineError> {
-        crate::engine::validate_arity(&self.event_type, self.arity, fields.len())?;
+    fn mint_id(&mut self) -> EventId {
         let n = self.core.minted.fetch_add(1, Ordering::Relaxed);
-        let id = EventId((self.core.key << CHANNEL_ID_SHIFT) | n);
-        let event = Arc::new(Event::primitive(id, interval, Payload::from_values(fields)));
-        self.stage(Message::Insert(event.clone()));
-        Ok(event)
-    }
-
-    /// Stage a pre-minted event (e.g. from a workload generator),
-    /// validating its payload arity against the resolved schema.
-    pub fn insert_event(&mut self, event: impl Into<Arc<Event>>) -> Result<(), EngineError> {
-        let event = event.into();
-        crate::engine::validate_arity(&self.event_type, self.arity, event.payload.len())?;
-        self.stage(Message::Insert(event));
-        Ok(())
-    }
-
-    /// Stage a retraction shortening `event`'s lifetime to `[Vs, new_end)`
-    /// (`new_end == Vs` removes it entirely).
-    pub fn retract(&mut self, event: impl Into<Arc<Event>>, new_end: TimePoint) {
-        self.stage(Message::Retract(Retraction::new(event, new_end)));
-    }
-
-    /// Stage a current-time increment: a promise that every future
-    /// message on this stream has `Sync >= t`.
-    pub fn cti(&mut self, t: TimePoint) {
-        self.stage(Message::Cti(t));
-    }
-
-    /// Stage a raw physical message (tape replays, disorder harnesses).
-    /// No schema validation is applied.
-    pub fn stage(&mut self, msg: Message) {
-        self.staged.push(msg);
-        if self.staged.len() >= self.autoflush {
-            self.flush();
-        }
-    }
-
-    /// Stage a whole batch (`Arc`-shared clones — payloads are never
-    /// copied). The auto-flush bound holds mid-batch.
-    pub fn stage_batch(&mut self, batch: &MessageBatch) {
-        for m in batch {
-            self.staged.push(m.clone());
-            if self.staged.len() >= self.autoflush {
-                self.flush();
-            }
-        }
-    }
-
-    /// Emit the staged batch onto the bounded channel, **blocking** while
-    /// the channel is full (backpressure: the engine thread must pump).
-    /// An empty staging batch is a no-op. If the engine no longer exists
-    /// (its receiver was dropped), the batch is discarded — there is
-    /// nothing left to feed.
-    pub fn flush(&mut self) {
-        let _ = self.emit(true);
-    }
-
-    /// [`flush`](ChannelSource::flush) with backpressure surfaced: if the
-    /// bounded channel is full, nothing moves, the batch stays staged,
-    /// and [`EngineError::IngressFull`]
-    /// is returned (with `shard = 0` and capacities counted in *batches*
-    /// — the channel bounds emissions, not messages). The caller decides
-    /// whether to retry, shed load, or block.
-    pub fn try_flush(&mut self) -> Result<(), EngineError> {
-        self.emit(false)
+        EventId((self.core.key << CHANNEL_ID_SHIFT) | n)
     }
 
     /// Reserve the next emission seq under the `emitted` lock and send.
@@ -489,18 +401,21 @@ impl ChannelSource {
     /// seq is safe: the reserving handle is live until its send
     /// completes, so the disconnect (posted by the *last* handle) can
     /// never announce a seq that will not arrive.
-    fn emit(&mut self, block: bool) -> Result<(), EngineError> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let core = Arc::clone(&self.core);
+    fn emit(
+        &mut self,
+        event_type: &Arc<str>,
+        staged: &mut MessageBatch,
+        block: bool,
+    ) -> Result<(), EngineError> {
+        let core = &self.core;
         let mut emitted = core.emitted.lock().unwrap_or_else(|e| e.into_inner());
         let mut item = IngressBatch {
             key: core.key,
             seq: *emitted,
-            event_type: self.event_type.clone(),
+            minted: core.minted.load(Ordering::Relaxed),
+            event_type: event_type.clone(),
             subs: self.subs.clone(),
-            batch: std::mem::take(&mut self.staged),
+            batch: std::mem::take(staged),
         };
         // First attempt is non-blocking under the lock either way — it
         // is also how a blocking flush detects (and counts) backpressure.
@@ -516,9 +431,9 @@ impl ChannelSource {
                     .trace(|| TraceEvent::ChannelBackpressure { producer: core.key });
                 if !block {
                     let len = full.batch.len();
-                    self.staged = full.batch;
+                    *staged = full.batch;
                     return Err(EngineError::IngressFull {
-                        event_type: self.event_type.to_string(),
+                        event_type: event_type.to_string(),
                         shard: 0,
                         capacity: self.depth,
                         staged: self.depth,
@@ -538,6 +453,39 @@ impl ChannelSource {
         self.obs.with_timings(|t| t.channel_block.record(blocked));
         Ok(())
     }
+}
+
+impl Clone for ChannelSink {
+    fn clone(&self) -> Self {
+        self.core.live.fetch_add(1, Ordering::AcqRel);
+        ChannelSink {
+            subs: self.subs.clone(),
+            tx: self.tx.clone(),
+            core: Arc::clone(&self.core),
+            depth: self.depth,
+            obs: Arc::clone(&self.obs),
+        }
+    }
+}
+
+impl Drop for ChannelSink {
+    /// Disconnect the producer if this was its last live handle. The
+    /// owning [`Stager`]'s drop-flush has already run by now.
+    fn drop(&mut self) {
+        if self.core.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let emitted = *self.core.emitted.lock().unwrap_or_else(|e| e.into_inner());
+            self.core.board.post(self.core.key, emitted);
+        }
+    }
+}
+
+impl ChannelSource {
+    /// The origin key stamped on every emission of this producer (shared
+    /// by clones). Keys are assigned in
+    /// [`channel_source`](crate::Engine::channel_source) call order.
+    pub fn producer_key(&self) -> u64 {
+        self.sink.core.key
+    }
 
     /// End this stream cleanly: stage `CTI(∞)` ("no more data will ever
     /// arrive here") and drop the handle, which flushes and disconnects.
@@ -553,67 +501,18 @@ impl ChannelSource {
         self.cti(TimePoint::INFINITY);
         // Drop flushes and disconnects.
     }
-
-    /// Abandon the session, handing back whatever was staged but not yet
-    /// flushed (nothing is sent; the disconnect still happens on drop).
-    /// This is the explicit-error-handling escape hatch: pair with
-    /// [`try_flush`](ChannelSource::try_flush) to decide the batch's fate
-    /// instead of trusting the drop-flush.
-    pub fn into_inner(mut self) -> MessageBatch {
-        std::mem::take(&mut self.staged)
-    }
 }
 
 impl Clone for ChannelSource {
-    /// Clones **share the producer origin**: the same key, emission
-    /// counter and event-ID allocator (seqs stay gap-free however the
-    /// clones interleave, and the producer disconnects only when the last
-    /// clone drops). Emissions racing through sibling clones are admitted
-    /// in whatever order they win the shared counter — deterministic only
-    /// if the clones are externally synchronised. For the full
-    /// order-insensitivity guarantee give each provider thread its own
-    /// [`channel_source`](crate::Engine::channel_source).
+    /// A new handle on the same producer origin (see [`ChannelSink`]),
+    /// with an empty staging batch and the same auto-flush bound.
     fn clone(&self) -> Self {
-        self.core.live.fetch_add(1, Ordering::AcqRel);
-        ChannelSource {
+        Stager {
             event_type: self.event_type.clone(),
             arity: self.arity,
-            subs: self.subs.clone(),
-            tx: self.tx.clone(),
-            core: Arc::clone(&self.core),
             staged: MessageBatch::new(),
             autoflush: self.autoflush,
-            depth: self.depth,
-            obs: Arc::clone(&self.obs),
-        }
-    }
-}
-
-impl std::fmt::Debug for ChannelSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChannelSource")
-            .field("event_type", &self.event_type)
-            .field("producer_key", &self.core.key)
-            .field("arity", &self.arity)
-            .field("subscribers", &self.subscriber_count())
-            .field("staged", &self.staged.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Drop for ChannelSource {
-    /// Flush the staged batch (blocking — the pump will drain it), then
-    /// disconnect the producer if this was its last live handle. During a
-    /// panic unwind the staged data is abandoned instead of risking a
-    /// block on a full channel, but the disconnect is still posted so the
-    /// pump can retire the lane.
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            self.flush();
-        }
-        if self.core.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let emitted = *self.core.emitted.lock().unwrap_or_else(|e| e.into_inner());
-            self.core.board.post(self.core.key, emitted);
+            sink: self.sink.clone(),
         }
     }
 }
@@ -689,10 +588,7 @@ impl Engine {
                 // letting the fast producers grow the buffer forever.
                 while ch.reseq.buffered() < cap {
                     match ch.rx.try_recv() {
-                        Ok(item) => {
-                            let (key, seq) = (item.key, item.seq);
-                            ch.reseq.accept(key, seq, item);
-                        }
+                        Ok(item) => ch.receive(item),
                         Err(_) => break,
                     }
                 }
@@ -715,13 +611,13 @@ impl Engine {
                     let IngressBatch {
                         event_type,
                         subs,
-                        batch,
+                        mut batch,
                         ..
                     } = item;
                     // Blocking admission never fails; with the pump
                     // draining every round, the shard ingress is near
                     // empty anyway.
-                    let _ = self.admit_resolved(&event_type, batch, &subs, true);
+                    let _ = self.admit_resolved(&event_type, &mut batch, &subs, true);
                 }
                 self.run_to_quiescence();
             }
@@ -804,8 +700,7 @@ impl Engine {
             // channel alive, so a disconnect error is unreachable.
             let ch = self.channel.as_mut().expect("checked above");
             if let Ok(item) = ch.rx.recv_timeout(std::time::Duration::from_millis(5)) {
-                let (key, seq) = (item.key, item.seq);
-                ch.reseq.accept(key, seq, item);
+                ch.receive(item);
             }
         }
     }
@@ -819,6 +714,7 @@ mod tests {
     use cedr_algebra::expr::Pred;
     use cedr_lang::catalog::FieldType;
     use cedr_runtime::ConsistencySpec;
+    use cedr_temporal::Value;
 
     fn tick_engine(config: EngineConfig) -> (Engine, crate::QueryId) {
         let mut e = Engine::with_config(config);
@@ -1007,18 +903,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(e.collector(q).stats().inserts, 30);
-    }
-
-    #[test]
-    fn into_inner_recovers_staged_messages_without_sending() {
-        let (mut e, q) = tick_engine(EngineConfig::serial());
-        let mut src = e.channel_source("T").unwrap().manual_flush();
-        src.insert(1, vec![Value::Int(1)]).unwrap();
-        src.insert(2, vec![Value::Int(2)]).unwrap();
-        let staged = src.into_inner();
-        assert_eq!(staged.len(), 2);
-        e.run_pipelined().unwrap();
-        assert_eq!(e.collector(q).stats().inserts, 0, "nothing was sent");
     }
 
     #[test]

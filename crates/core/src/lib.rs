@@ -4,13 +4,16 @@
 //! registers standing queries (from CEDR query text or the programmatic
 //! [`builder::PlanBuilder`]), routes provider streams to them, applies
 //! per-query consistency specs, and exposes a **sessioned I/O surface**:
-//! typed [`SourceHandle`] ingestion sessions with bounded-ingress
-//! backpressure on the way in, incremental [`Subscription`] change-stream
-//! cursors on the way out, plus a unified [`Engine::metrics`](engine::Engine::metrics)
-//! telemetry snapshot. For
-//! concurrent providers, [`ChannelSource`] is the `Send + Clone` sibling
-//! of `SourceHandle`: producer threads feed a bounded channel while the
-//! engine pumps ([`Engine::pump`](engine::Engine::pump) /
+//! typed ingestion sessions on the way in, incremental [`Subscription`]
+//! change-stream cursors on the way out, plus a unified
+//! [`Engine::metrics`](engine::Engine::metrics) telemetry snapshot.
+//!
+//! Both ingestion handles are one staging core,
+//! [`session::Stager`], over two sinks. A [`SourceHandle`] borrows the
+//! engine and flushes against its bounded per-shard ingress
+//! (backpressure by draining). A [`ChannelSource`] is `Send + Clone`:
+//! producer threads feed a bounded channel while the engine pumps
+//! ([`Engine::pump`](engine::Engine::pump) /
 //! [`Engine::run_pipelined`](engine::Engine::run_pipelined)), with
 //! multi-producer runs bit-identical to single-threaded ingestion — see
 //! [`ingest`] for the "which handle do I want?" table.

@@ -5,12 +5,21 @@
 //! named streams continuously, consumers observe each query's consistent,
 //! repairing output stream. This module is that surface:
 //!
-//! * [`SourceHandle`] — a provider session on one input stream. Opened
-//!   with [`Engine::source`], it resolves the event type and its shard
-//!   routing **once**, stages messages in a local [`MessageBatch`]
-//!   through typed builders, and flushes against the engine's bounded
-//!   per-shard ingress with blocking ([`SourceHandle::flush`]) or
-//!   backpressure-surfacing ([`SourceHandle::try_flush`]) semantics.
+//! * [`Stager`] — the **one staging core** behind both producer handles.
+//!   It resolves the event type once, validates payloads against the
+//!   schema, stages messages in a local [`MessageBatch`] through typed
+//!   builders and auto-flushes it. Where IDs come from and where a flush
+//!   goes is its [`StageSink`]:
+//!   * [`SourceHandle`] (opened with [`Engine::source`]) stages over an
+//!     [`EngineSink`]: it borrows the engine, mints engine-counter IDs
+//!     and flushes against the bounded per-shard ingress, blocking
+//!     ([`flush`](Stager::flush) drains the engine when full) or
+//!     surfacing backpressure ([`try_flush`](Stager::try_flush)).
+//!   * [`ChannelSource`](crate::ChannelSource) (opened with
+//!     [`Engine::channel_source`]) stages over a
+//!     [`ChannelSink`](crate::ingest::ChannelSink): `Send + Clone`, no
+//!     engine borrow, per-producer IDs, flushes onto a bounded channel
+//!     that the engine pumps (see [`crate::ingest`]).
 //! * [`Subscription`] — a consumer cursor over a query's append-only
 //!   [`OutputDelta`] log. Opened with [`Engine::subscribe`], each
 //!   [`Subscription::poll`] drains staged work and returns exactly the
@@ -18,66 +27,75 @@
 //!   order bit-identical to the collector's stamped tape at every
 //!   consistency level and thread count.
 
-use crate::engine::{Engine, EngineError, QueryId, SubscriberList};
+use crate::engine::{validate_arity, Engine, EngineError, QueryId, SubscriberList};
 use cedr_streams::{Message, MessageBatch, OutputDelta, Retraction};
-use cedr_temporal::{Event, Interval, TimePoint, Value};
+use cedr_temporal::{Event, EventId, Interval, Payload, TimePoint, Value};
 use std::sync::Arc;
 
-/// Default number of staged messages at which a [`SourceHandle`]
-/// auto-flushes. Small enough to bound session-local memory, large enough
-/// that shell and scheduler overhead amortise across the run (see
+/// Default number of staged messages at which a [`Stager`] auto-flushes.
+/// Small enough to bound session-local memory, large enough that shell
+/// and scheduler overhead amortise across the run (see
 /// `OpStats::mean_batch_len`).
 pub const DEFAULT_AUTOFLUSH: usize = 512;
 
-/// A typed ingestion session on one named input stream.
-///
-/// Obtained from [`Engine::source`]. The handle holds the engine borrow
-/// for its lifetime, which is what makes "resolve once" sound: routing
-/// cannot change and the engine cannot seal while a session is open.
-/// Messages accumulate in a local staging batch and move to the engine's
-/// bounded ingress on [`flush`](SourceHandle::flush) (automatic every
-/// [`DEFAULT_AUTOFLUSH`] staged messages, on drop, or manual). Staged
-/// batches are drained into the dataflows by
-/// [`Engine::run_to_quiescence`] — or by the engine itself when a full
-/// ingress queue exerts backpressure on a blocking flush.
-///
-/// ```
-/// use cedr_core::prelude::*;
-///
-/// let mut engine = Engine::new();
-/// engine.register_event_type("LOGIN", vec![("user", FieldType::Str)]);
-/// let mut login = engine.source("LOGIN").unwrap();
-/// let ev = login.insert(100, vec![Value::str("ada")]).unwrap();
-/// login.retract(ev.clone(), t(100)); // never mind
-/// login.cti(t(200));
-/// drop(login); // flushes the staged batch
-/// engine.run_to_quiescence();
-/// ```
-pub struct SourceHandle<'e> {
-    engine: &'e mut Engine,
-    event_type: String,
-    /// Payload arity of the event type, resolved at open time.
-    arity: usize,
-    /// Per-shard `(shard, subscribers)` routing, resolved at open time.
-    subs: Vec<(usize, SubscriberList)>,
-    staged: MessageBatch,
-    autoflush: usize,
+pub(crate) mod sealed {
+    pub trait Sealed {}
 }
 
-impl<'e> SourceHandle<'e> {
-    pub(crate) fn new(
-        engine: &'e mut Engine,
-        event_type: String,
-        arity: usize,
-        subs: Vec<(usize, SubscriberList)>,
-    ) -> Self {
-        SourceHandle {
-            engine,
+/// The two ways a [`Stager`] differs per handle: where event IDs come
+/// from and where a flushed batch goes. Sealed: the sinks are
+/// [`EngineSink`] and [`ChannelSink`](crate::ingest::ChannelSink).
+pub trait StageSink: sealed::Sealed {
+    /// Handle name shown by `Debug`.
+    const HANDLE: &'static str;
+
+    /// `(query, port)` subscribers the resolved routing fans out to.
+    fn subscriber_count(&self) -> usize;
+
+    /// Allocate a fresh event ID for a typed `insert`.
+    fn mint_id(&mut self) -> EventId;
+
+    /// Hand a non-empty staged batch on. On success `staged` is left
+    /// empty; a refused non-blocking emission leaves it in place and
+    /// returns [`EngineError::IngressFull`].
+    fn emit(
+        &mut self,
+        event_type: &Arc<str>,
+        staged: &mut MessageBatch,
+        block: bool,
+    ) -> Result<(), EngineError>;
+}
+
+/// The staging core shared by [`SourceHandle`] and
+/// [`ChannelSource`](crate::ChannelSource): typed builders over a local
+/// batch that moves to the handle's [`StageSink`] on
+/// [`flush`](Stager::flush) — automatically every [`DEFAULT_AUTOFLUSH`]
+/// staged messages, on drop, or manually.
+///
+/// Dropping a stager flushes its batch. The drop-flush is best-effort
+/// and **never panics**: during a panic unwind the staged batch is
+/// abandoned rather than run the scheduler or block on a full channel
+/// (a second panic would abort the process), and a flush whose target is
+/// gone discards quietly. Callers who want staged-data errors surfaced
+/// use [`try_flush`](Stager::try_flush) / [`into_inner`](Stager::into_inner)
+/// before dropping.
+pub struct Stager<S: StageSink> {
+    pub(crate) event_type: Arc<str>,
+    /// Payload arity of the event type, resolved at open time.
+    pub(crate) arity: usize,
+    pub(crate) staged: MessageBatch,
+    pub(crate) autoflush: usize,
+    pub(crate) sink: S,
+}
+
+impl<S: StageSink> Stager<S> {
+    pub(crate) fn new(event_type: Arc<str>, arity: usize, sink: S) -> Self {
+        Stager {
             event_type,
             arity,
-            subs,
             staged: MessageBatch::new(),
             autoflush: DEFAULT_AUTOFLUSH,
+            sink,
         }
     }
 
@@ -89,7 +107,7 @@ impl<'e> SourceHandle<'e> {
     /// Number of `(query, port)` subscribers the resolved routing fans
     /// out to.
     pub fn subscriber_count(&self) -> usize {
-        self.subs.iter().map(|(_, s)| s.len()).sum()
+        self.sink.subscriber_count()
     }
 
     /// Messages currently staged locally (not yet flushed).
@@ -104,8 +122,8 @@ impl<'e> SourceHandle<'e> {
     }
 
     /// Disable auto-flush entirely: the batch grows until an explicit
-    /// [`flush`](SourceHandle::flush)/[`try_flush`](SourceHandle::try_flush)
-    /// or drop.
+    /// [`flush`](Stager::flush)/[`try_flush`](Stager::try_flush), a
+    /// channel [`seal`](Stager::seal), or drop.
     pub fn manual_flush(mut self) -> Self {
         self.autoflush = usize::MAX;
         self
@@ -119,13 +137,21 @@ impl<'e> SourceHandle<'e> {
     }
 
     /// Mint and stage an event with an explicit validity interval.
+    ///
+    /// A [`SourceHandle`] draws IDs from the engine's counter; a
+    /// [`ChannelSource`](crate::ChannelSource) from its producer's own
+    /// slice of the ID space (`key << 44 | n`), so concurrent providers
+    /// never collide, a given provider mints the same IDs on every run,
+    /// and a producer reattached after [`Engine::restore`] resumes where
+    /// its checkpointed emissions left off.
     pub fn insert_for(
         &mut self,
         interval: Interval,
         fields: Vec<Value>,
     ) -> Result<Arc<Event>, EngineError> {
-        crate::engine::validate_arity(&self.event_type, self.arity, fields.len())?;
-        let event = self.engine.mint_event(interval, fields);
+        validate_arity(&self.event_type, self.arity, fields.len())?;
+        let id = self.sink.mint_id();
+        let event = Arc::new(Event::primitive(id, interval, Payload::from_values(fields)));
         self.stage(Message::Insert(event.clone()));
         Ok(event)
     }
@@ -134,15 +160,15 @@ impl<'e> SourceHandle<'e> {
     /// validating its payload arity against the resolved schema.
     pub fn insert_event(&mut self, event: impl Into<Arc<Event>>) -> Result<(), EngineError> {
         let event = event.into();
-        crate::engine::validate_arity(&self.event_type, self.arity, event.payload.len())?;
+        validate_arity(&self.event_type, self.arity, event.payload.len())?;
         self.stage(Message::Insert(event));
         Ok(())
     }
 
     /// Stage a retraction shortening `event`'s lifetime to
     /// `[Vs, new_end)` (`new_end == Vs` removes it entirely). Accepts the
-    /// shared event an [`insert`](SourceHandle::insert) returned (clone
-    /// the `Arc` — a refcount bump) or an owned [`Event`].
+    /// shared event an [`insert`](Stager::insert) returned (clone the
+    /// `Arc` — a refcount bump) or an owned [`Event`].
     pub fn retract(&mut self, event: impl Into<Arc<Event>>, new_end: TimePoint) {
         self.stage(Message::Retract(Retraction::new(event, new_end)));
     }
@@ -167,94 +193,60 @@ impl<'e> SourceHandle<'e> {
     /// staging never grows past the threshold, however large the input.
     pub fn stage_batch(&mut self, batch: &MessageBatch) {
         for m in batch {
-            self.staged.push(m.clone());
-            if self.staged.len() >= self.autoflush {
-                self.flush();
-            }
+            self.stage(m.clone());
         }
     }
 
-    /// Move the staged batch to the engine's ingress queues, draining the
-    /// engine first if a target shard's bounded ingress lacks room
-    /// (backpressure by blocking). Never fails; an empty staging batch is
-    /// a no-op. The staged work runs at the next
-    /// [`Engine::run_to_quiescence`] (or [`Subscription::poll`]).
+    /// Hand the staged batch to the sink. Never fails; an empty staging
+    /// batch is a no-op.
+    ///
+    /// * [`SourceHandle`]: admits the batch to the engine's bounded
+    ///   per-shard ingress, draining the engine first if a target shard
+    ///   lacks room (backpressure by blocking). The staged work runs at
+    ///   the next [`Engine::run_to_quiescence`] (or
+    ///   [`Subscription::poll`]).
+    /// * [`ChannelSource`](crate::ChannelSource): emits the batch onto
+    ///   the bounded channel, **blocking** while it is full (the engine
+    ///   thread must pump). If the engine no longer exists, the batch is
+    ///   discarded — there is nothing left to feed.
     pub fn flush(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.staged);
-        // Blocking admission cannot fail today; should a future error
-        // path appear, swallowing it here keeps `flush` (and the drop
-        // that routes through it) panic-free by construction.
-        let _ = self
-            .engine
-            .admit_resolved(&self.event_type, batch, &self.subs, true);
+        // Blocking emission cannot fail; swallowing keeps `flush` (and
+        // the drop that routes through it) panic-free by construction.
+        let _ = self.emit(true);
     }
 
-    /// [`flush`](SourceHandle::flush) with backpressure surfaced: if the
-    /// staged batch does not fit a target shard's bounded ingress,
-    /// nothing moves, the batch stays staged, and
-    /// [`EngineError::IngressFull`] is returned — the caller decides
+    /// [`flush`](Stager::flush) with backpressure surfaced: if the staged
+    /// batch does not fit — a target shard's bounded ingress, or the
+    /// bounded channel (then `shard = 0` and the capacities count
+    /// *batches*) — nothing moves, the batch stays staged, and
+    /// [`EngineError::IngressFull`] is returned. The caller decides
     /// whether to drain, retry, or shed load.
     pub fn try_flush(&mut self) -> Result<(), EngineError> {
+        self.emit(false)
+    }
+
+    fn emit(&mut self, block: bool) -> Result<(), EngineError> {
         if self.staged.is_empty() {
             return Ok(());
         }
-        // Capacity pre-check, then move: the success path never copies
-        // the staged batch, and after a passed check the admission below
-        // cannot trigger a backpressure drain.
-        if let Err(full) =
-            self.engine
-                .check_capacity(&self.event_type, self.staged.len(), &self.subs)
-        {
-            if let EngineError::IngressFull { shard, .. } = full {
-                self.engine.note_backpressure(shard);
-            }
-            return Err(full);
-        }
-        let batch = std::mem::take(&mut self.staged);
-        self.engine
-            .admit_resolved(&self.event_type, batch, &self.subs, false)
-            .expect("admission cannot fail after a passed capacity check");
-        Ok(())
-    }
-
-    /// Deliver one message immediately — flush anything staged, then run
-    /// the historical per-message cascade (minus its per-call lookups):
-    /// the message reaches every subscribing dataflow and the graphs run
-    /// to quiescence before this returns. This is the latency-first mode;
-    /// prefer staging + flush when the caller holds a run of messages.
-    pub fn send(&mut self, msg: Message) {
-        if !self.staged.is_empty() {
-            self.flush();
-        }
-        self.engine.send_resolved(&self.subs, msg);
-    }
-
-    /// Flush and run the engine to quiescence: everything staged through
-    /// this handle (and any other staged ingress) is processed before
-    /// this returns. Equivalent to dropping the handle and calling
-    /// [`Engine::run_to_quiescence`], without ending the session.
-    pub fn sync(&mut self) {
-        self.flush();
-        self.engine.run_to_quiescence();
+        self.sink.emit(&self.event_type, &mut self.staged, block)
     }
 
     /// End the session **without** the drop-flush, handing back whatever
-    /// was staged. This is the explicit-error-handling escape hatch: a
-    /// caller that wants to decide the batch's fate (retry elsewhere,
-    /// log, shed) pairs [`try_flush`](SourceHandle::try_flush) with
-    /// `into_inner` instead of trusting the implicit flush on drop.
+    /// was staged (a channel producer still disconnects). This is the
+    /// explicit-error-handling escape hatch: a caller that wants to
+    /// decide the batch's fate (retry elsewhere, log, shed) pairs
+    /// [`try_flush`](Stager::try_flush) with `into_inner` instead of
+    /// trusting the implicit flush on drop.
     pub fn into_inner(mut self) -> MessageBatch {
         std::mem::take(&mut self.staged)
         // Drop sees an empty staging batch: a no-op.
     }
 }
 
-impl std::fmt::Debug for SourceHandle<'_> {
+impl<S: StageSink> std::fmt::Debug for Stager<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SourceHandle")
+        f.debug_struct(S::HANDLE)
             .field("event_type", &self.event_type)
             .field("arity", &self.arity)
             .field("subscribers", &self.subscriber_count())
@@ -263,22 +255,99 @@ impl std::fmt::Debug for SourceHandle<'_> {
     }
 }
 
-impl Drop for SourceHandle<'_> {
-    /// Closing a session flushes its staged batch (the drain itself still
-    /// happens at the next `run_to_quiescence`/poll).
-    ///
-    /// The drop-flush is strictly best-effort and **never panics**: a
-    /// drop during a panic unwind abandons the staged batch rather than
-    /// run the scheduler (a second panic there would abort the process),
-    /// and [`flush`](SourceHandle::flush) itself swallows rather than
-    /// unwraps. Callers who want staged-data errors surfaced use
-    /// [`try_flush`](SourceHandle::try_flush) /
-    /// [`into_inner`](SourceHandle::into_inner) before dropping.
+impl<S: StageSink> Drop for Stager<S> {
+    /// Flush the staged batch unless the thread is panicking (see the
+    /// type docs). A sink's own drop (a channel producer's disconnect)
+    /// runs after this, once the flush is done.
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            return;
+        if !std::thread::panicking() {
+            self.flush();
         }
+    }
+}
+
+/// A typed ingestion session on one named input stream, borrowing the
+/// engine.
+///
+/// Obtained from [`Engine::source`]. The handle holds the engine borrow
+/// for its lifetime, which is what makes "resolve once" sound: routing
+/// cannot change and the engine cannot seal while a session is open.
+/// Messages accumulate in a local staging batch and move to the engine's
+/// bounded ingress on [`flush`](Stager::flush). Staged batches are
+/// drained into the dataflows by [`Engine::run_to_quiescence`] — or by
+/// the engine itself when a full ingress queue exerts backpressure on a
+/// blocking flush.
+///
+/// ```
+/// use cedr_core::prelude::*;
+///
+/// let mut engine = Engine::new();
+/// engine.register_event_type("LOGIN", vec![("user", FieldType::Str)]);
+/// let mut login = engine.source("LOGIN").unwrap();
+/// let ev = login.insert(100, vec![Value::str("ada")]).unwrap();
+/// login.retract(ev.clone(), t(100)); // never mind
+/// login.cti(t(200));
+/// drop(login); // flushes the staged batch
+/// engine.run_to_quiescence();
+/// ```
+pub type SourceHandle<'e> = Stager<EngineSink<'e>>;
+
+/// The [`StageSink`] of a [`SourceHandle`]: the borrowed engine plus the
+/// event type's per-shard `(shard, subscribers)` routing, resolved at
+/// open time.
+pub struct EngineSink<'e> {
+    engine: &'e mut Engine,
+    subs: Vec<(usize, SubscriberList)>,
+}
+
+impl<'e> EngineSink<'e> {
+    pub(crate) fn new(engine: &'e mut Engine, subs: Vec<(usize, SubscriberList)>) -> Self {
+        EngineSink { engine, subs }
+    }
+}
+
+impl sealed::Sealed for EngineSink<'_> {}
+
+impl StageSink for EngineSink<'_> {
+    const HANDLE: &'static str = "SourceHandle";
+
+    fn subscriber_count(&self) -> usize {
+        self.subs.iter().map(|(_, s)| s.len()).sum()
+    }
+
+    fn mint_id(&mut self) -> EventId {
+        self.engine.mint_event_id()
+    }
+
+    fn emit(
+        &mut self,
+        event_type: &Arc<str>,
+        staged: &mut MessageBatch,
+        block: bool,
+    ) -> Result<(), EngineError> {
+        self.engine
+            .admit_resolved(event_type, staged, &self.subs, block)
+    }
+}
+
+impl SourceHandle<'_> {
+    /// Deliver one message immediately — flush anything staged, then run
+    /// the per-message cascade (minus any per-call lookups): the message
+    /// reaches every subscribing dataflow and the graphs run to
+    /// quiescence before this returns. This is the latency-first mode;
+    /// prefer staging + flush when the caller holds a run of messages.
+    pub fn send(&mut self, msg: Message) {
         self.flush();
+        self.sink.engine.send_resolved(&self.sink.subs, msg);
+    }
+
+    /// Flush and run the engine to quiescence: everything staged through
+    /// this handle (and any other staged ingress) is processed before
+    /// this returns. Equivalent to dropping the handle and calling
+    /// [`Engine::run_to_quiescence`], without ending the session.
+    pub fn sync(&mut self) {
+        self.flush();
+        self.sink.engine.run_to_quiescence();
     }
 }
 

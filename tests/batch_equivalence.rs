@@ -101,15 +101,13 @@ fn workload(seed: u64) -> Vec<(&'static str, Message)> {
     }
 }
 
-/// Drive the tape one message at a time (deliberately through the
-/// deprecated string-keyed shim, so the equivalence suite keeps pinning
-/// the shim path against the sessioned one).
-#[allow(deprecated)]
+/// Drive the tape one message at a time: a session per message, each
+/// delivered with the immediate per-message cascade.
 fn run_single(spec: ConsistencySpec, tape: &[(&'static str, Message)]) -> (Engine, Vec<QueryId>) {
     let mut engine = Engine::new();
     let qs = register_queries(&mut engine, spec);
     for (ty, m) in tape {
-        engine.push(ty, m.clone()).unwrap();
+        engine.source(ty).unwrap().send(m.clone());
     }
     engine.seal();
     (engine, qs)

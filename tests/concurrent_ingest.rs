@@ -14,9 +14,13 @@
 //! The single-threaded reference deliberately uses the **borrowed**
 //! `SourceHandle` path (no channel, no pump), so the equality pins the
 //! whole concurrent subsystem against the classic staged path rather
-//! than against itself.
+//! than against itself. The staging contract itself (auto-flush bound,
+//! manual flush, `into_inner`, arity errors) is run against both
+//! handles, which share one `Stager` core.
 
 use cedr::core::prelude::*;
+use cedr::core::session::{StageSink, Stager};
+use cedr::core::DEFAULT_AUTOFLUSH;
 use cedr::streams::{scramble, MessageBatch};
 use cedr::temporal::time::{dur, t};
 
@@ -406,25 +410,128 @@ fn ingress_stats_observe_staging_admission_and_backpressure() {
 }
 
 // ---------------------------------------------------------------------
-// SourceHandle drop-footgun regressions (the borrowed-handle sibling).
+// The staging contract, held by both handles (one `Stager` core).
 // ---------------------------------------------------------------------
 
-#[test]
-fn source_handle_into_inner_recovers_staged_without_flushing() {
-    let mut engine = Engine::new();
-    let qs = register_queries(&mut engine, ConsistencySpec::middle());
-    let mut h = engine.source("A_T").unwrap().manual_flush();
+/// One event type, one pass-through query; explicit config so the checks
+/// below never block on an env-shrunk channel with no pump running.
+fn contract_engine() -> (Engine, QueryId) {
+    let mut engine = Engine::with_config(EngineConfig::serial());
+    engine.register_event_type("T", vec![("v", FieldType::Int)]);
+    let plan = PlanBuilder::source("T").select(Pred::True).into_plan();
+    let q = engine
+        .register_plan("all", plan, ConsistencySpec::middle())
+        .unwrap();
+    (engine, q)
+}
+
+/// `with_autoflush(n)` bounds local staging, also in the middle of one
+/// `stage_batch`. Returns how many inserts must reach the query.
+fn autoflush_bounds_staging_mid_batch<S: StageSink>(h: Stager<S>) -> usize {
+    let mut h = h.with_autoflush(4);
+    let batch: MessageBatch = (0..10u64)
+        .map(|i| {
+            Message::insert(
+                1_000 + i,
+                Interval::point(t(i)),
+                Payload::from_values(vec![Value::Int(i as i64)]),
+            )
+        })
+        .collect();
+    h.stage_batch(&batch);
+    assert_eq!(h.staged_len(), 2, "flushed at 4 and 8 inside the batch");
+    for i in 10..15u64 {
+        h.insert(i, vec![Value::Int(i as i64)]).unwrap();
+        assert!(h.staged_len() < 4, "autoflush keeps staging bounded");
+    }
+    15
+}
+
+/// `manual_flush` holds everything until the drop-flush.
+fn manual_flush_holds_everything<S: StageSink>(h: Stager<S>) -> usize {
+    let mut h = h.manual_flush();
+    let n = DEFAULT_AUTOFLUSH + 10;
+    for i in 0..n as u64 {
+        h.insert(i, vec![Value::Int(i as i64)]).unwrap();
+    }
+    assert_eq!(h.staged_len(), n, "nothing flushed before drop");
+    n
+}
+
+/// `into_inner` hands the staged batch back, and the drop after it
+/// delivers nothing.
+fn into_inner_suppresses_the_drop_flush<S: StageSink>(h: Stager<S>) -> usize {
+    let mut h = h.manual_flush();
     h.insert(1, vec![Value::Int(1)]).unwrap();
     h.insert(2, vec![Value::Int(2)]).unwrap();
-    let staged = h.into_inner();
-    assert_eq!(staged.len(), 2, "the staged batch is handed back");
-    engine.run_to_quiescence();
-    assert_eq!(
-        engine.collector(qs[0]).stats().inserts,
-        0,
-        "into_inner must suppress the drop-flush"
+    assert_eq!(h.into_inner().len(), 2, "the staged batch is handed back");
+    0
+}
+
+/// A payload of the wrong arity is a typed error and stages nothing.
+fn wrong_arity_is_a_typed_error<S: StageSink>(mut h: Stager<S>) -> usize {
+    assert!(matches!(
+        h.insert(1, vec![]),
+        Err(EngineError::PayloadArity {
+            expected: 1,
+            got: 0,
+            ..
+        })
+    ));
+    let wide = Event::primitive(
+        EventId(7),
+        Interval::point(t(1)),
+        Payload::from_values(vec![Value::Int(1), Value::Int(2)]),
+    );
+    assert!(matches!(
+        h.insert_event(wide),
+        Err(EngineError::PayloadArity {
+            expected: 1,
+            got: 2,
+            ..
+        })
+    ));
+    assert_eq!(h.staged_len(), 0);
+    0
+}
+
+/// Every staging check above, run against a `SourceHandle` and a
+/// `ChannelSource`: the two handles share one contract.
+#[test]
+fn both_handles_keep_the_staging_contract() {
+    macro_rules! on_both_handles {
+        ($($check:ident),+ $(,)?) => {$(
+            let (mut engine, q) = contract_engine();
+            let expected = $check(engine.source("T").unwrap());
+            engine.run_to_quiescence();
+            assert_eq!(
+                engine.collector(q).stats().inserts,
+                expected,
+                "SourceHandle: {}",
+                stringify!($check)
+            );
+            let (mut engine, q) = contract_engine();
+            let expected = $check(engine.channel_source("T").unwrap());
+            engine.run_pipelined().unwrap();
+            assert_eq!(
+                engine.collector(q).stats().inserts,
+                expected,
+                "ChannelSource: {}",
+                stringify!($check)
+            );
+        )+};
+    }
+    on_both_handles!(
+        autoflush_bounds_staging_mid_batch,
+        manual_flush_holds_everything,
+        into_inner_suppresses_the_drop_flush,
+        wrong_arity_is_a_typed_error,
     );
 }
+
+// ---------------------------------------------------------------------
+// SourceHandle drop-footgun regression (the borrowed-handle sibling).
+// ---------------------------------------------------------------------
 
 #[test]
 fn source_handle_drop_during_unwind_does_not_double_panic() {

@@ -298,7 +298,6 @@ fn explain_renders_fused_chains_and_the_escape_hatch() {
 /// paths (no run, no columnar view — compiled kernels fall back to
 /// per-row evaluation) — same pin, per-message, on both execution modes.
 #[test]
-#[allow(deprecated)]
 fn fused_per_message_path_matches_unfused() {
     for (spec, level) in LEVELS {
         let tape = tape(0x5EED5);
@@ -310,7 +309,7 @@ fn fused_per_message_path_matches_unfused() {
             );
             let qs = register_queries(&mut engine, spec());
             for m in &tape {
-                engine.push("A_T", m.clone()).unwrap();
+                engine.source("A_T").unwrap().send(m.clone());
             }
             engine.seal();
             (engine, qs)

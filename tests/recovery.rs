@@ -16,7 +16,8 @@
 //! images fail with a typed error naming the offending section and leave
 //! the engine untouched, `seal` after restore equals `seal` on an engine
 //! that never checkpointed, and channel producers reattach to their
-//! resequencer lanes with buffered skew intact.
+//! resequencer lanes with buffered skew intact and their event-ID
+//! cursors past every ID the image holds.
 
 use cedr::core::prelude::*;
 use cedr::streams::{scramble, MessageBatch};
@@ -363,6 +364,11 @@ fn corrupt_images_fail_typed_and_leave_the_engine_untouched() {
     let mut bad = image.clone();
     bad[8] = 0xfe;
     expect_corrupt(&mut engine, &bad, "header", "version");
+    // In particular a v2 image (written before channel sections carried
+    // the producers' event-ID cursors) is refused, not misread.
+    let mut v2 = image.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    expect_corrupt(&mut engine, &v2, "header", "image is v2");
 
     // Any flipped body bit fails the content checksum.
     let mut bad = image.clone();
@@ -505,6 +511,76 @@ fn channel_producers_reattach_with_buffered_skew_intact() {
     engine.run_pipelined().unwrap();
     engine.seal();
     assert_bit_identical("channel reattach", &reference, &(engine, qs));
+}
+
+/// One round of a typed channel producer: four `insert`s minted by the
+/// handle (IDs from the producer's own slice), and in every round after
+/// the first a retraction of the round's first event by the ID it was
+/// minted with. Returns the minted IDs.
+fn mint_round(src: &mut ChannelSource, round: u64) -> Vec<EventId> {
+    let events: Vec<_> = (0..4u64)
+        .map(|i| {
+            let vs = round * 40 + i * 7;
+            src.insert(vs, vec![Value::Int((i % 3) as i64)]).unwrap()
+        })
+        .collect();
+    if round > 0 {
+        src.retract(events[0].clone(), events[0].vs());
+    }
+    events.iter().map(|e| e.id).collect()
+}
+
+/// A producer reattached after a restore resumes minting where its
+/// checkpointed emissions left off: the typed builders of the recovered
+/// run mint exactly the unfailed run's IDs (none twice), so a later
+/// retraction removes the event it names and the tapes stay
+/// bit-identical.
+#[test]
+fn reattached_producers_resume_minting_past_checkpointed_ids() {
+    let (unfailed_ids, unfailed) = {
+        let mut engine = Engine::with_config(floored_env_config());
+        let qs = register_queries(&mut engine, ConsistencySpec::middle());
+        let mut src = engine.channel_source("A_T").unwrap().manual_flush();
+        let mut ids = mint_round(&mut src, 0);
+        src.flush();
+        engine.pump().unwrap();
+        ids.extend(mint_round(&mut src, 1));
+        drop(src);
+        engine.run_pipelined().unwrap();
+        engine.seal();
+        (ids, (engine, qs))
+    };
+
+    let (mut ids, image, key) = {
+        let mut engine = Engine::with_config(floored_env_config());
+        register_queries(&mut engine, ConsistencySpec::middle());
+        let mut src = engine.channel_source("A_T").unwrap().manual_flush();
+        let ids = mint_round(&mut src, 0);
+        src.flush();
+        engine.pump().unwrap();
+        let image = engine.checkpoint_to_vec().unwrap();
+        (ids, image, src.producer_key())
+        // The crash: engine and producer are gone.
+    };
+    let mut engine = Engine::with_config(floored_env_config());
+    let qs = register_queries(&mut engine, ConsistencySpec::middle());
+    engine.restore_from_slice(&image).unwrap();
+    assert_eq!(
+        engine.checkpoint_to_vec().unwrap(),
+        image,
+        "the restored event-ID cursors re-encode byte-equal"
+    );
+    let mut src = engine.channel_source("A_T").unwrap().manual_flush();
+    assert_eq!(src.producer_key(), key, "the producer reattaches its lane");
+    ids.extend(mint_round(&mut src, 1));
+    drop(src);
+    engine.run_pipelined().unwrap();
+    engine.seal();
+
+    let distinct: std::collections::BTreeSet<_> = ids.iter().collect();
+    assert_eq!(distinct.len(), ids.len(), "an event ID was minted twice");
+    assert_eq!(ids, unfailed_ids, "recovered run minted different IDs");
+    assert_bit_identical("reattached minting", &unfailed, &(engine, qs));
 }
 
 #[test]

@@ -6,9 +6,8 @@
 //!   times — across seeds × Strong/Middle/Weak (loose and biting horizon)
 //!   × worker counts, including mid-stream cursor resume after partial
 //!   drains.
-//! * Handle ingestion is bit-identical to the deprecated string-keyed
-//!   shims at matching granularity (per-message `send` ≡ `push`, staged
-//!   `stage_batch`+`flush` ≡ `enqueue_batch`).
+//! * Staged handle ingestion (`stage_batch`+`flush`) is bit-identical to
+//!   `enqueue_batch` at matching granularity.
 
 use cedr::core::prelude::*;
 use cedr::streams::{scramble, MessageBatch};
@@ -274,40 +273,13 @@ fn for_each_redelivers_after_a_panicking_sink() {
     );
 }
 
-/// Handle ingestion is bit-identical to the deprecated shims at matching
-/// granularity: `send` per message ≡ `push` per message, and chunked
-/// `stage_batch`+drain ≡ chunked `enqueue_batch`+drain.
+/// Staged handle ingestion is bit-identical to `enqueue_batch` at
+/// matching granularity: chunked `stage_batch`+drain ≡ chunked
+/// `enqueue_batch`+drain.
 #[test]
-#[allow(deprecated)]
-fn handle_paths_match_shim_paths_bit_for_bit() {
+fn staged_handle_path_matches_enqueue_batch_bit_for_bit() {
     for (spec, level) in LEVELS {
         let tape = workload(0xB17);
-
-        // Per-message granularity.
-        let mut shim = Engine::new();
-        let qs_shim = register_queries(&mut shim, spec());
-        for (ty, m) in &tape {
-            shim.push(ty, m.clone()).unwrap();
-        }
-        shim.seal();
-
-        let mut sessioned = Engine::new();
-        let qs_sess = register_queries(&mut sessioned, spec());
-        for (ty, m) in &tape {
-            sessioned.source(ty).unwrap().send(m.clone());
-        }
-        sessioned.seal();
-
-        for (a, b) in qs_shim.iter().zip(qs_sess.iter()) {
-            assert_eq!(
-                shim.collector(*a).stamped(),
-                sessioned.collector(*b).stamped(),
-                "{level}: per-message handle path diverged from push shim"
-            );
-            assert_eq!(shim.stats(*a), sessioned.stats(*b));
-        }
-
-        // Chunked/staged granularity.
         let feed_chunks = |engine: &mut Engine, staged: bool| {
             for chunk in tape.chunks(16) {
                 for ty in ["A_T", "B_T", "C_T"] {
